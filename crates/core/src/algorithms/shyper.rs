@@ -231,6 +231,27 @@ mod tests {
         assert_eq!(b.lock / line, b.count / line, "CpuSyncToken packs lock and count");
     }
 
+    /// SHY-CTR spins only with `spin_until_eq`/`spin_until_ge`, which the
+    /// simulator indexes by target: every waiter a write examines is one it
+    /// wakes, however many spinners crowd the lock-and-count line.
+    #[test]
+    fn shy_ctr_writes_visit_only_the_waiters_they_wake() {
+        let topo = Arc::new(Topology::preset(Platform::Phytium2000Plus));
+        let mut arena = Arena::new();
+        let barrier = Arc::new(ShyCtrBarrier::new(&mut arena, 64, &topo));
+        let stats = SimBuilder::new(topo, 64)
+            .reserve_for(&arena)
+            .run(move |ctx| {
+                for _ in 0..4 {
+                    barrier.wait(ctx);
+                }
+            })
+            .unwrap();
+        let e = stats.engine();
+        assert!(e.wakes > 0 && e.restamps > 0, "{e:?}");
+        assert_eq!(e.waiter_visits, e.wakes, "{e:?}");
+    }
+
     /// Litmus: the classic counter-barrier reuse bug. A straggler that
     /// begins spinning only after the other threads have raced through
     /// the barrier and *re-entered* for the next episode must still exit.

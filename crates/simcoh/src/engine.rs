@@ -52,7 +52,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use armbar_topology::{CoreId, RmwOp, Topology};
+use armbar_topology::{RmwOp, Topology};
 
 use crate::arena::{Addr, Arena};
 use crate::error::{DeadlockWaiter, SimError, WaitKind};
@@ -96,6 +96,49 @@ fn spin_replies() -> bool {
 
 type Pred = Box<dyn Fn(u32) -> bool + Send>;
 
+/// What a blocked spinner waits for. `Eq` and `Ge` waiters are indexed by
+/// watched word and target, so a write visits only the waiters it
+/// satisfies; `Pred` and `AllGe` are opaque to the index and are
+/// re-evaluated on every write to a line they watch.
+enum WaitCond {
+    /// The word equals the value (`spin_until_eq`).
+    Eq(u32),
+    /// The word is ≥ the value (`spin_until_ge`).
+    Ge(u32),
+    /// An opaque `spin_until` predicate on the word.
+    Pred(Pred),
+    /// Every listed word is ≥ the epoch (batched, MLP-overlapped).
+    AllGe(Vec<Addr>, u32),
+}
+
+impl WaitCond {
+    /// The condition as deadlock diagnostics report it.
+    fn kind(&self) -> WaitKind {
+        match self {
+            WaitCond::Eq(v) => WaitKind::Eq(*v),
+            WaitCond::Ge(v) => WaitKind::Ge(*v),
+            WaitCond::Pred(_) => WaitKind::Pred,
+            WaitCond::AllGe(_, e) => WaitKind::AllGe(*e),
+        }
+    }
+
+    /// Whether the condition holds, given the word values.
+    fn holds(&self, values: &[u32], addr: Addr) -> bool {
+        match self {
+            WaitCond::Eq(v) => read_word(values, addr) == *v,
+            WaitCond::Ge(v) => read_word(values, addr) >= *v,
+            WaitCond::Pred(p) => p(read_word(values, addr)),
+            WaitCond::AllGe(addrs, e) => addrs.iter().all(|&a| read_word(values, a) >= *e),
+        }
+    }
+}
+
+/// The word at `addr` in the dense value table; unbacked words read 0.
+#[inline]
+fn read_word(values: &[u32], addr: Addr) -> u32 {
+    values.get((addr >> 2) as usize).copied().unwrap_or(0)
+}
+
 enum OpReq {
     Load(Addr, LoadOrder),
     Store(Addr, u32, StoreOrder),
@@ -103,7 +146,8 @@ enum OpReq {
     /// Compare-exchange `(addr, current, new)`: stores `new` iff the word
     /// equals `current`; replies with the previous value either way.
     CmpXchg(Addr, u32, u32),
-    SpinUntil(Addr, Pred, WaitKind),
+    /// Single-word spin (`WaitCond::{Eq, Ge, Pred}`).
+    SpinUntil(Addr, WaitCond),
     /// Wait until every listed word is ≥ the epoch. The fetches of the
     /// involved lines overlap (memory-level parallelism), unlike a chain of
     /// `SpinUntil`s.
@@ -136,7 +180,7 @@ fn describe_op(op: &OpReq) -> (ReadyOpKind, Option<Addr>) {
         OpReq::FetchAdd(a, _) => (ReadyOpKind::Rmw, Some(*a)),
         OpReq::CmpXchg(a, _, _) => (ReadyOpKind::Rmw, Some(*a)),
         OpReq::Swap(a, _) => (ReadyOpKind::Rmw, Some(*a)),
-        OpReq::SpinUntil(a, _, _) => (ReadyOpKind::Spin, Some(*a)),
+        OpReq::SpinUntil(a, _) => (ReadyOpKind::Spin, Some(*a)),
         OpReq::SpinUntilAllGe(addrs, _) => (ReadyOpKind::Spin, addrs.first().copied()),
         OpReq::Mark(_) | OpReq::Now | OpReq::Counters | OpReq::Fence => (ReadyOpKind::Free, None),
     }
@@ -216,15 +260,20 @@ struct Sched {
     /// Shard currently being drained by an engine pass, if any.
     active: Option<usize>,
     /// Frozen at rendezvous time: the minimal ready head among *non-active*
-    /// shards. Exact for the duration of an active stretch because no pass
-    /// ever pushes ready work into another shard (re-posts stay on the
-    /// posting thread's shard).
+    /// shards. Exact for the duration of an active stretch because every
+    /// push into another shard — a stall cohort's new head may belong to
+    /// any shard — goes through `push_ready`, which ends the stretch.
     ready_floor: Option<SchedKey>,
     /// Minimal running key among *non-active* shards; maintained
     /// incrementally as replies promote threads of other shards back into
     /// their running sets (keys only ever at or above the op being
     /// processed, so a min update is exact).
     run_floor: Option<SchedKey>,
+    /// tid → key of the thread's heap entry, if it has one. A thread has at
+    /// most one, consumed by its pop; a stall-cohort member has one iff it
+    /// was its cohort's lowest tid at some point (`drain_cohort` then finds
+    /// it gated by its own entry and leaves it to `pop_next`).
+    queued: Vec<Option<SchedKey>>,
 }
 
 impl Sched {
@@ -235,7 +284,14 @@ impl Sched {
         for t in 0..nthreads {
             shards[shard_map[t] as usize].running.insert((TimeKey(0.0), t));
         }
-        Self { shards, shard_of: shard_map, active: None, ready_floor: None, run_floor: None }
+        Self {
+            shards,
+            shard_of: shard_map,
+            active: None,
+            ready_floor: None,
+            run_floor: None,
+            queued: vec![None; nthreads],
+        }
     }
 
     #[inline]
@@ -253,11 +309,37 @@ impl Sched {
     fn push_ready(&mut self, key: SchedKey) {
         let s = self.shard(key.1);
         if self.active.is_some_and(|a| a != s) {
-            // Only re-posts (same shard) happen mid-pass; anything else
-            // forces a fresh rendezvous.
+            // A push into another shard can lower its head below the
+            // frozen `ready_floor`: force a fresh rendezvous.
             self.active = None;
         }
+        debug_assert!(self.queued[key.1].is_none(), "thread queued twice");
+        self.queued[key.1] = Some(key);
         self.shards[s].ready.push(Reverse(key));
+    }
+
+    /// Whether `key` is the heap entry of its thread.
+    fn is_queued(&self, key: SchedKey) -> bool {
+        self.queued[key.1] == Some(key)
+    }
+
+    /// The smallest ready head and running key over all shards: an op that
+    /// sits in no heap is what `pop_next` would process now iff its key is
+    /// below this bound.
+    fn bound(&self) -> Option<SchedKey> {
+        let own = |sh: &Shard| {
+            let r = sh.ready.peek().map(|&Reverse(k)| k);
+            let k = sh.running.first().copied();
+            r.into_iter().chain(k).min()
+        };
+        match self.active {
+            // Within an active stretch the floors stand in for the other
+            // shards (exact, see `ready_floor`).
+            Some(s) => {
+                self.ready_floor.into_iter().chain(self.run_floor).chain(own(&self.shards[s])).min()
+            }
+            None => self.shards.iter().filter_map(own).min(),
+        }
     }
 
     fn insert_running(&mut self, key: SchedKey) {
@@ -294,6 +376,7 @@ impl Sched {
             s.ready.clear();
             s.running.clear();
         }
+        self.queued.fill(None);
         self.active = None;
     }
 
@@ -363,99 +446,216 @@ impl Sched {
                 return None;
             }
             self.shards[s].ready.pop();
+            debug_assert!(self.is_queued(head), "heap entry without a queued thread");
+            self.queued[head.1] = None;
             return Some(head);
         }
     }
 }
 
-/// A registered spin-waiter with its registration sequence number. The seq
-/// defines the global wake order (identical to the registration order of
-/// the flat list this table replaced) and guards slot reuse: a stale
-/// `(seq, slot)` index entry whose slot was recycled no longer matches.
+/// Blocked spin-waiters, indexed by watched line and condition.
+///
+/// Every registration gets a sequence number: the global wake order (the
+/// registration order of the flat list this table replaced), and the guard
+/// against slot reuse — an index entry `(seq, slot)` whose slot was
+/// recycled no longer matches.
 struct WaiterTable {
+    line_shift: u32,
     slots: Vec<Option<(u64, Waiter)>>,
-    free: Vec<usize>,
-    /// line key → `(seq, slot)` registrations in seq (= append) order.
-    /// Dense, parallel to the line directory, so a store's waiter lookup is
-    /// one indexed load instead of an O(waiters) scan.
-    by_line: Vec<Vec<(u64, u32)>>,
+    free: Vec<u32>,
+    /// line key → the waiters registered on it. Dense, parallel to the line
+    /// directory, grown on demand.
+    by_line: Vec<LineWaiters>,
     next_seq: u64,
-    len: usize,
+    /// Reused buffers: the satisfied entries of the current wake sweep, and
+    /// member lists of emptied `Eq`/`Ge` groups.
+    satisfied: Vec<(u64, u32)>,
+    spare: Vec<Vec<(u64, u32)>>,
+}
+
+/// The live waiters of one line.
+#[derive(Default)]
+struct LineWaiters {
+    /// Threads of every live waiter watching this line, and how many there
+    /// are. A write makes all of them re-fetch the line, satisfied or not:
+    /// one OR into the sharer set and one add to the reader count.
+    live: CoreSet,
+    count: u32,
+    /// `Eq`/`Ge` waiters grouped by `(word, condition, target)`.
+    groups: Vec<WaitGroup>,
+    /// `Pred` and `AllGe` waiters in seq order; may hold stale entries of
+    /// all-≥ waiters already woken through another line.
+    opaque: Vec<(u64, u32)>,
+}
+
+/// `Eq`/`Ge` waiters on one word with one target, in seq order. A write of
+/// `v` to the word satisfies either every member or none.
+struct WaitGroup {
+    addr: Addr,
+    ge: bool,
+    target: u32,
+    members: Vec<(u64, u32)>,
+}
+
+impl WaitGroup {
+    fn holds(&self, v: u32) -> bool {
+        if self.ge {
+            v >= self.target
+        } else {
+            v == self.target
+        }
+    }
 }
 
 impl WaiterTable {
-    fn new() -> Self {
-        Self { slots: Vec::new(), free: Vec::new(), by_line: Vec::new(), next_seq: 0, len: 0 }
+    fn new(line_shift: u32) -> Self {
+        Self {
+            line_shift,
+            slots: Vec::new(),
+            free: Vec::new(),
+            by_line: Vec::new(),
+            next_seq: 0,
+            satisfied: Vec::new(),
+            spare: Vec::new(),
+        }
     }
 
-    /// Registers a waiter under every distinct line key it watches.
-    fn register(&mut self, w: Waiter, line_keys: &[u32]) {
+    /// The live waiter set of a line, if any waiter watches it.
+    fn live_on(&self, line_key: u32) -> Option<(CoreSet, u32)> {
+        self.by_line.get(line_key as usize).filter(|lw| lw.count > 0).map(|lw| (lw.live, lw.count))
+    }
+
+    /// Registers a waiter under every line it watches.
+    fn register(&mut self, w: Waiter) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        let tid = w.tid;
+        let group = match w.cond {
+            WaitCond::Eq(t) => Some((w.addr, false, t)),
+            WaitCond::Ge(t) => Some((w.addr, true, t)),
+            WaitCond::Pred(_) | WaitCond::AllGe(..) => None,
+        };
         let slot = match self.free.pop() {
             Some(i) => {
-                self.slots[i] = Some((seq, w));
+                self.slots[i as usize] = Some((seq, w));
                 i
             }
             None => {
                 self.slots.push(Some((seq, w)));
-                self.slots.len() - 1
+                (self.slots.len() - 1) as u32
             }
         };
-        self.len += 1;
-        for &k in line_keys {
+        let Self { line_shift, slots, by_line, spare, .. } = self;
+        let (_, w) = slots[slot as usize].as_ref().expect("just stored");
+        for k in w.lines(*line_shift) {
             let i = k as usize;
-            if i >= self.by_line.len() {
-                self.by_line.resize_with(i + 1, Vec::new);
+            if i >= by_line.len() {
+                by_line.resize_with(i + 1, LineWaiters::default);
             }
-            self.by_line[i].push((seq, slot as u32));
-        }
-    }
-
-    /// Takes the registration bucket for one line (possibly containing
-    /// stale entries for already-woken multi-line waiters).
-    fn take_bucket(&mut self, line_key: u32) -> Vec<(u64, u32)> {
-        match self.by_line.get_mut(line_key as usize) {
-            Some(b) => std::mem::take(b),
-            None => Vec::new(),
-        }
-    }
-
-    /// Restores the still-blocked entries of a bucket after a wake sweep.
-    fn put_bucket(&mut self, line_key: u32, bucket: Vec<(u64, u32)>) {
-        if bucket.is_empty() {
-            return;
-        }
-        let i = line_key as usize;
-        debug_assert!(self.by_line[i].is_empty(), "bucket repopulated during wake sweep");
-        self.by_line[i] = bucket;
-    }
-
-    /// Takes the waiter out of `slot` if it still matches `seq`; the caller
-    /// either wakes it (slot stays free) or restores it via `restore`.
-    fn take_slot(&mut self, slot: u32, seq: u64) -> Option<Waiter> {
-        let entry = self.slots.get_mut(slot as usize)?;
-        match entry {
-            Some((s, _)) if *s == seq => {
-                let (_, w) = entry.take().expect("checked above");
-                Some(w)
+            let lw = &mut by_line[i];
+            // A repeated line of an all-≥ wait: a thread has at most one
+            // live waiter, so it is already registered here.
+            if lw.live.contains(tid) {
+                continue;
             }
-            _ => None,
+            lw.live.insert(tid);
+            lw.count += 1;
+            match group {
+                Some((addr, ge, target)) => {
+                    match lw
+                        .groups
+                        .iter_mut()
+                        .find(|g| g.addr == addr && g.ge == ge && g.target == target)
+                    {
+                        Some(g) => g.members.push((seq, slot)),
+                        None => {
+                            let mut members = spare.pop().unwrap_or_default();
+                            members.push((seq, slot));
+                            lw.groups.push(WaitGroup { addr, ge, target, members });
+                        }
+                    }
+                }
+                None => lw.opaque.push((seq, slot)),
+            }
         }
     }
 
-    /// Puts a still-unsatisfied waiter back into its slot (same seq, so its
-    /// other index entries stay valid).
-    fn restore(&mut self, slot: u32, seq: u64, w: Waiter) {
-        debug_assert!(self.slots[slot as usize].is_none());
-        self.slots[slot as usize] = Some((seq, w));
+    /// Removes from line `line_key`'s index every waiter that a write of
+    /// `value` to `addr` satisfies, and returns them in seq order with the
+    /// number of live entries examined. The caller wakes them and hands
+    /// the buffer back through [`WaiterTable::recycle`].
+    fn take_satisfied(
+        &mut self,
+        line_key: u32,
+        addr: Addr,
+        value: u32,
+        values: &[u32],
+    ) -> (Vec<(u64, u32)>, u64) {
+        let mut out = std::mem::take(&mut self.satisfied);
+        let mut visits = 0u64;
+        // Each matched group and the opaque list are seq-ordered runs; the
+        // merged list needs a sort only when more than one run contributed.
+        let mut runs = 0;
+        let Self { slots, by_line, spare, .. } = self;
+        let lw = &mut by_line[line_key as usize];
+        // Live `Eq`/`Ge` waiters on other words of the line stay
+        // unsatisfied: their word did not change, and it did not satisfy
+        // them at their last check.
+        let mut i = 0;
+        while i < lw.groups.len() {
+            let g = &lw.groups[i];
+            if g.addr == addr && g.holds(value) {
+                let mut members = lw.groups.swap_remove(i).members;
+                visits += members.len() as u64;
+                runs += 1;
+                out.extend_from_slice(&members);
+                members.clear();
+                spare.push(members);
+            } else {
+                i += 1;
+            }
+        }
+        let from_groups = out.len();
+        lw.opaque.retain(|&(seq, slot)| match &slots[slot as usize] {
+            Some((s, w)) if *s == seq => {
+                visits += 1;
+                if w.cond.holds(values, w.addr) {
+                    out.push((seq, slot));
+                    false
+                } else {
+                    true
+                }
+            }
+            _ => false, // stale: woken through another of its lines
+        });
+        if out.len() > from_groups {
+            runs += 1;
+        }
+        if runs > 1 {
+            out.sort_unstable_by_key(|&(seq, _)| seq);
+        }
+        (out, visits)
     }
 
-    /// Frees a woken waiter's slot for reuse.
-    fn release(&mut self, slot: u32) {
-        debug_assert!(self.slots[slot as usize].is_none());
-        self.free.push(slot as usize);
-        self.len -= 1;
+    /// Returns a sweep buffer from [`WaiterTable::take_satisfied`].
+    fn recycle(&mut self, mut buf: Vec<(u64, u32)>) {
+        buf.clear();
+        self.satisfied = buf;
+    }
+
+    /// Takes a satisfied waiter out of the table: frees its slot and drops
+    /// it from the live sets of every line it watched.
+    fn remove(&mut self, slot: u32) -> Waiter {
+        let (_, w) = self.slots[slot as usize].take().expect("satisfied waiter has a live slot");
+        self.free.push(slot);
+        for k in w.lines(self.line_shift) {
+            let lw = &mut self.by_line[k as usize];
+            if lw.live.contains(w.tid) {
+                lw.live.remove(w.tid);
+                lw.count -= 1;
+            }
+        }
+        w
     }
 
     /// All blocked waiters in registration order (diagnostics snapshots).
@@ -471,11 +671,97 @@ impl WaiterTable {
         let mut v: Vec<(u64, Waiter)> = self.slots.drain(..).flatten().collect();
         v.sort_unstable_by_key(|&(s, _)| s);
         self.free.clear();
-        for b in &mut self.by_line {
-            b.clear();
-        }
-        self.len = 0;
+        self.by_line.clear();
         v.into_iter().map(|(_, w)| w).collect()
+    }
+}
+
+/// Busy-line stall cohorts (default mode only; DESIGN.md §11).
+///
+/// A single-line op that finds its line busy is re-stamped to the line's
+/// `available_at` and joins the cohort of ops waiting for that instant.
+/// Only the cohort's lowest tid has an entry in a shard heap; the rest run
+/// inline after it while each is still the key the scheduler would pick.
+/// A line has at most two cohorts: one draining at `A` and one filling at
+/// the `A2 > A` the draining one's writes moved the line to. Nothing joins
+/// a draining cohort (a joiner's clock is below `A`, and the drain runs at
+/// `A`), and no write can move the line past `A2` before every `(A, tid)`
+/// key has been processed.
+#[derive(Default)]
+struct Cohorts {
+    by_line: Vec<[Cohort; 2]>,
+    /// tid → line whose cohort holds the thread's pending op.
+    member_of: Vec<Option<u32>>,
+}
+
+/// The ops waiting for one line instant. Empty `members` = free.
+#[derive(Default)]
+struct Cohort {
+    at: f64,
+    /// Member tids ascending; `members[..next]` are already dispatched.
+    members: Vec<u32>,
+    next: usize,
+}
+
+impl Cohorts {
+    fn new(nthreads: usize) -> Self {
+        Self { by_line: Vec::new(), member_of: vec![None; nthreads] }
+    }
+
+    /// Adds `tid`'s op to the cohort of `line` at `at`; returns whether it
+    /// is the cohort's new lowest tid, which then needs a heap entry.
+    fn join(&mut self, line: u32, at: f64, tid: usize) -> bool {
+        let i = line as usize;
+        if i >= self.by_line.len() {
+            self.by_line.resize_with(i + 1, Default::default);
+        }
+        let pair = &mut self.by_line[i];
+        let c = match pair.iter().position(|c| !c.members.is_empty() && c.at == at) {
+            Some(j) => &mut pair[j],
+            None => {
+                let j = pair
+                    .iter()
+                    .position(|c| c.members.is_empty())
+                    .expect("a line has at most two stall cohorts");
+                pair[j].at = at;
+                pair[j].next = 0;
+                &mut pair[j]
+            }
+        };
+        debug_assert_eq!(c.next, 0, "an op joined a draining cohort");
+        let pos = c.members.partition_point(|&m| (m as usize) < tid);
+        c.members.insert(pos, tid as u32);
+        self.member_of[tid] = Some(line);
+        pos == 0
+    }
+
+    /// The next undispatched member of `line`'s cohort at `at`.
+    fn peek_next(&self, line: u32, at: f64) -> Option<usize> {
+        self.by_line[line as usize]
+            .iter()
+            .find(|c| !c.members.is_empty() && c.at == at)
+            .map(|c| c.members[c.next] as usize)
+    }
+
+    /// Takes `tid` out of its cohort as the op about to be dispatched;
+    /// returns the cohort's line, or `None` when `tid` is in no cohort.
+    fn leave(&mut self, tid: usize) -> Option<u32> {
+        let line = self.member_of[tid].take()?;
+        let c = self.by_line[line as usize]
+            .iter_mut()
+            .find(|c| c.members.get(c.next) == Some(&(tid as u32)))
+            .expect("a dispatched cohort member is its cohort's lowest tid");
+        c.next += 1;
+        if c.next == c.members.len() {
+            c.members.clear();
+            c.next = 0;
+        }
+        Some(line)
+    }
+
+    fn clear(&mut self) {
+        self.by_line.clear();
+        self.member_of.fill(None);
     }
 }
 
@@ -507,19 +793,22 @@ struct Slot {
     finished: bool,
 }
 
-enum WaitCond {
-    /// Single-address predicate wait.
-    Pred(Pred),
-    /// All listed addresses ≥ epoch (batched, MLP-overlapped).
-    AllGe(u32),
-}
-
 struct Waiter {
     tid: usize,
-    addrs: Vec<Addr>,
+    /// The watched word (for `AllGe`, the first listed one).
+    addr: Addr,
     cond: WaitCond,
-    /// Reporting-only copy of the wait condition for deadlock diagnostics.
-    kind: WaitKind,
+}
+
+impl Waiter {
+    /// Keys of the lines the waiter watches (may repeat for `AllGe`).
+    fn lines(&self, line_shift: u32) -> impl Iterator<Item = u32> + '_ {
+        let addrs = match &self.cond {
+            WaitCond::AllGe(addrs, _) => addrs.as_slice(),
+            _ => std::slice::from_ref(&self.addr),
+        };
+        addrs.iter().map(move |&a| a >> line_shift)
+    }
 }
 
 /// The complete mutable episode state, engine tables included. Everything
@@ -540,8 +829,10 @@ struct State {
     /// Whether this run was configured with a policy (stable across the
     /// take/restore in `run_engine_policy`).
     policy_mode: bool,
-    /// Blocked spin-waiters, indexed by watched line.
+    /// Blocked spin-waiters, indexed by watched line and condition.
     waiters: WaiterTable,
+    /// Busy-line stall cohorts (default mode only).
+    cohorts: Cohorts,
     time: Vec<f64>,
     /// Dense per-line directory, indexed `addr >> line_shift`.
     lines: Vec<Line>,
@@ -623,7 +914,8 @@ impl State {
             ready_list: if policy_mode { Vec::with_capacity(nthreads) } else { Vec::new() },
             policy,
             policy_mode,
-            waiters: WaiterTable::new(),
+            waiters: WaiterTable::new(line_shift),
+            cohorts: Cohorts::new(nthreads),
             time: vec![0.0; nthreads],
             lines: vec![Line::default(); reserve_bytes.div_ceil(1usize << line_shift)],
             values: vec![0; reserve_bytes.div_ceil(4)],
@@ -737,28 +1029,25 @@ impl SimThread {
         // us, and we have consumed every previous reply; read it before
         // posting so the bump cannot be missed.
         let my_seq = cell.seq.load(Ordering::Acquire);
-        let wakes = {
-            let mut g = self.shared.mx.lock();
-            if g.aborted {
-                drop(g);
-                std::panic::panic_any(AbortSignal);
-            }
-            debug_assert!(g.slots[self.tid].pending.is_none(), "op already pending");
-            let old_key = (TimeKey(g.time[self.tid]), self.tid);
-            let was_running = g.sched.remove_running(&old_key);
-            debug_assert!(was_running, "posting thread must be in the running set");
-            let (def_ns, def_count) = self.deferred.replace((0.0, 0));
-            if def_count > 0 {
-                g.time[self.tid] += def_ns;
-                g.ops += def_count;
-                g.stats.count_ops(OpKind::Compute, def_count);
-            }
-            let key = (TimeKey(g.time[self.tid]), self.tid);
-            g.slots[self.tid].pending = Some(op);
-            g.post_ready(key);
-            self.shared.run_engine(&mut g);
-            std::mem::take(&mut g.wake_list)
-        };
+        let mut g = self.shared.mx.lock();
+        if g.aborted {
+            drop(g);
+            std::panic::panic_any(AbortSignal);
+        }
+        debug_assert!(g.slots[self.tid].pending.is_none(), "op already pending");
+        let old_key = (TimeKey(g.time[self.tid]), self.tid);
+        let was_running = g.sched.remove_running(&old_key);
+        debug_assert!(was_running, "posting thread must be in the running set");
+        let (def_ns, def_count) = self.deferred.replace((0.0, 0));
+        if def_count > 0 {
+            g.time[self.tid] += def_ns;
+            g.ops += def_count;
+            g.stats.count_ops(OpKind::Compute, def_count);
+        }
+        let key = (TimeKey(g.time[self.tid]), self.tid);
+        g.slots[self.tid].pending = Some(op);
+        g.post_ready(key);
+        self.shared.run_engine(&mut g);
         // Fast path: when our own op was processable (the common case for
         // serial phases), the inline engine run above already delivered the
         // reply — no context switch, no further synchronization (both
@@ -772,12 +1061,19 @@ impl SimThread {
                 // SAFETY: the runtime outlives every fiber it drives, and
                 // all fibers run on its OS thread (no concurrent access).
                 let rt = unsafe { rt.as_ref() };
-                rt.enqueue_wakes(&wakes, self.tid);
+                // Every fiber runs on this OS thread, so nobody can be
+                // blocked on the lock: queue the wakes while holding it
+                // rather than moving the wake list out per rendezvous.
+                rt.enqueue_wakes(&g.wake_list, self.tid);
+                g.wake_list.clear();
+                drop(g);
                 while cell.seq.load(Ordering::Acquire) == my_seq {
                     rt.suspend();
                 }
             }
             None => {
+                let wakes = std::mem::take(&mut g.wake_list);
+                drop(g);
                 self.shared.unpark(&wakes, self.tid);
                 let mut spins = 0u32;
                 while cell.seq.load(Ordering::Acquire) == my_seq {
@@ -875,19 +1171,19 @@ impl SimThread {
     /// [`SimThread::spin_until_eq`] / [`SimThread::spin_until_ge`] when the
     /// condition has one of those shapes, so a hang reports its target.
     pub fn spin_until(&self, addr: Addr, pred: impl Fn(u32) -> bool + Send + 'static) -> u32 {
-        self.call_value(OpReq::SpinUntil(addr, Box::new(pred), WaitKind::Pred))
+        self.call_value(OpReq::SpinUntil(addr, WaitCond::Pred(Box::new(pred))))
     }
 
     /// Spins until the word at `addr` equals `value`. Identical costs to
     /// [`SimThread::spin_until`], but a deadlock report names the target.
     pub fn spin_until_eq(&self, addr: Addr, value: u32) -> u32 {
-        self.call_value(OpReq::SpinUntil(addr, Box::new(move |v| v == value), WaitKind::Eq(value)))
+        self.call_value(OpReq::SpinUntil(addr, WaitCond::Eq(value)))
     }
 
     /// Spins until the word at `addr` is ≥ `value` (monotonic epochs), with
     /// the target recorded for deadlock diagnostics.
     pub fn spin_until_ge(&self, addr: Addr, value: u32) -> u32 {
-        self.call_value(OpReq::SpinUntil(addr, Box::new(move |v| v >= value), WaitKind::Ge(value)))
+        self.call_value(OpReq::SpinUntil(addr, WaitCond::Ge(value)))
     }
 
     /// Spins until every word in `addrs` is ≥ `value`. A polling loop over
@@ -1086,15 +1382,17 @@ pub(crate) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 
 impl Shared {
     /// Marks `tid` finished (recording its panic message, if any) and lets
-    /// the engine drain anything its departure unblocked. Returns the wake
-    /// list and whether every participant is now finished; the transport
-    /// wrapper decides how to deliver the wakes.
-    pub(crate) fn finish_thread_core(
+    /// the engine drain anything its departure unblocked. Hands the wake
+    /// list to `take_wakes` while the lock is held — the transport wrapper
+    /// decides how to deliver the wakes — and returns its result with
+    /// whether every participant is now finished.
+    pub(crate) fn finish_thread_core<R>(
         &self,
         tid: usize,
         panic_msg: Option<String>,
         deferred: (f64, u64),
-    ) -> (Vec<usize>, bool) {
+        take_wakes: impl FnOnce(&mut Vec<usize>) -> R,
+    ) -> (R, bool) {
         let mut g = self.mx.lock();
         let key = (TimeKey(g.time[tid]), tid);
         g.sched.remove_running(&key); // may already be gone after an abort
@@ -1113,7 +1411,7 @@ impl Shared {
         g.slots[tid].finished = true;
         g.finished += 1;
         self.run_engine(&mut g);
-        (std::mem::take(&mut g.wake_list), g.finished == g.slots.len())
+        (take_wakes(&mut g.wake_list), g.finished == g.slots.len())
     }
 
     /// OS-transport finish: processes the departure, unparks the woken
@@ -1124,7 +1422,7 @@ impl Shared {
         panic_msg: Option<String>,
         deferred: (f64, u64),
     ) {
-        let (wakes, all_done) = self.finish_thread_core(tid, panic_msg, deferred);
+        let (wakes, all_done) = self.finish_thread_core(tid, panic_msg, deferred, std::mem::take);
         self.unpark(&wakes, tid);
         if all_done {
             self.done_cv.notify_all();
@@ -1180,20 +1478,104 @@ impl Shared {
         while g.outcome.is_none() && g.panics.is_empty() {
             // `pop_next` yields the globally minimal ready key unless it is
             // gated by a running thread that will post an earlier one.
-            let Some(key) = g.sched.pop_next() else { break };
-            g.ops += 1;
-            if g.ops > g.op_budget {
-                g.outcome =
-                    Some(Err(SimError::OpBudgetExhausted { ops: g.ops, budget: g.op_budget }));
-                self.abort(g);
+            let Some((TimeKey(at), tid)) = g.sched.pop_next() else { break };
+            let cohort = g.cohorts.leave(tid);
+            if !self.dispatch(g, tid) {
                 return;
             }
-            let tid = key.1;
-            let op = g.slots[tid].pending.take().expect("ready thread has no pending op");
-            g.stats.mix_schedule(op_tag(&op), tid as u64);
-            self.step(g, tid, op, WeakDecision::Strong);
+            if let Some(line) = cohort {
+                if !self.drain_cohort(g, line, at) {
+                    return;
+                }
+            }
         }
         self.terminal_check(g);
+    }
+
+    /// Hands `tid`'s pending op to the cost model. Returns `false` when the
+    /// op budget ran out and the episode was aborted.
+    fn dispatch(&self, g: &mut State, tid: usize) -> bool {
+        if !self.tick(g, tid) {
+            return false;
+        }
+        let op = g.slots[tid].pending.take().expect("ticked op is pending");
+        self.step(g, tid, op, WeakDecision::Strong);
+        true
+    }
+
+    /// The scheduling event every dispatch starts with: one op-budget tick
+    /// and one fingerprint event for `tid`'s pending op. Returns `false`
+    /// when the budget ran out and the episode was aborted.
+    fn tick(&self, g: &mut State, tid: usize) -> bool {
+        if self.charge_op(g) {
+            return false;
+        }
+        let tag = op_tag(g.slots[tid].pending.as_ref().expect("ready thread has no pending op"));
+        g.stats.engine_mut().pops += 1;
+        g.stats.mix_schedule(tag, tid as u64);
+        true
+    }
+
+    /// Runs the members of `line`'s stall cohort at `at` that follow the
+    /// just-dispatched one, inline, for as long as each is exactly the key
+    /// `pop_next` would return: below every shard's ready head and every
+    /// running key. The first member that is not becomes the cohort's
+    /// queued head. Returns `false` when the episode was aborted.
+    ///
+    /// A member whose line is still busy only re-stamps: it gets the
+    /// dispatch's tick and the stall's effects without a trip through
+    /// `step`. A re-stamp adds no running key and pushes only keys above
+    /// `at`, so the scheduler bound stays valid until a real dispatch.
+    fn drain_cohort(&self, g: &mut State, line: u32, at: f64) -> bool {
+        let mut bound = None;
+        while g.outcome.is_none() && g.panics.is_empty() {
+            let Some(tid) = g.cohorts.peek_next(line, at) else { break };
+            let key = (TimeKey(at), tid);
+            if bound.get_or_insert_with(|| g.sched.bound()).is_some_and(|b| b <= key) {
+                if !g.sched.is_queued(key) {
+                    g.sched.push_ready(key);
+                }
+                break;
+            }
+            g.cohorts.leave(tid);
+            let busy_until = self.available_at(g, line);
+            if busy_until > at {
+                if !self.tick(g, tid) {
+                    return false;
+                }
+                self.stall(g, tid, busy_until, Some(line));
+            } else {
+                if !self.dispatch(g, tid) {
+                    return false;
+                }
+                bound = None;
+            }
+        }
+        true
+    }
+
+    /// A dispatched op found its line(s) busy until `busy_until`: the
+    /// thread's clock moves there and the op, still pending, waits again.
+    /// In heap mode a single-line op joins the line's stall cohort (only a
+    /// new lowest tid needs a heap entry); policy mode and all-≥ waits
+    /// (several lines) re-post.
+    fn stall(&self, g: &mut State, tid: usize, busy_until: f64, line: Option<u32>) {
+        let is_write = matches!(
+            g.slots[tid].pending,
+            Some(OpReq::Store(..) | OpReq::FetchAdd(..) | OpReq::CmpXchg(..) | OpReq::Swap(..))
+        );
+        g.stats.record_stall(tid, is_write, busy_until - g.time[tid]);
+        g.stats.engine_mut().restamps += 1;
+        g.time[tid] = busy_until;
+        let key = (TimeKey(busy_until), tid);
+        match line {
+            Some(line) if !g.policy_mode => {
+                if g.cohorts.join(line, busy_until, tid) {
+                    g.sched.push_ready(key);
+                }
+            }
+            _ => g.post_ready(key),
+        }
     }
 
     /// Policy-mode engine pass: at every decision point, describe all ready
@@ -1255,12 +1637,11 @@ impl Shared {
                     // than wedging the engine.
                     _ => crate::schedule::oldest_index(&ready),
                 };
-                if self.charge_op(g) {
+                let (TimeKey(_), tid) = g.ready_list.swap_remove(pick);
+                if !self.tick(g, tid) {
                     break;
                 }
-                let (TimeKey(_), tid) = g.ready_list.swap_remove(pick);
-                let op = g.slots[tid].pending.take().expect("ready thread has no pending op");
-                g.stats.mix_schedule(op_tag(&op), tid as u64);
+                let op = g.slots[tid].pending.take().expect("ticked op is pending");
                 let weak = match self.weak_offer(g, tid, &op) {
                     Some(wop) => policy.weak(&wop),
                     None => WeakDecision::Strong,
@@ -1336,14 +1717,11 @@ impl Shared {
             .in_order()
             .into_iter()
             .map(|w| {
-                let addr = match w.kind {
-                    WaitKind::AllGe(epoch) => w
-                        .addrs
-                        .iter()
-                        .copied()
-                        .find(|&a| self.value(g, a) < epoch)
-                        .unwrap_or(w.addrs[0]),
-                    _ => w.addrs[0],
+                let addr = match &w.cond {
+                    WaitCond::AllGe(addrs, epoch) => {
+                        addrs.iter().copied().find(|&a| self.value(g, a) < *epoch).unwrap_or(w.addr)
+                    }
+                    _ => w.addr,
                 };
                 let committed = self.value(g, addr);
                 // The waiter's own view: its buffered store (youngest) wins,
@@ -1358,7 +1736,13 @@ impl Shared {
                             .or_else(|| wm.last_seen[w.tid].get(&addr).copied())
                     })
                     .unwrap_or(committed);
-                DeadlockWaiter { tid: w.tid, addr, kind: w.kind, last_value: committed, view }
+                DeadlockWaiter {
+                    tid: w.tid,
+                    addr,
+                    kind: w.cond.kind(),
+                    last_value: committed,
+                    view,
+                }
             })
             .collect()
     }
@@ -1370,6 +1754,7 @@ impl Shared {
     fn abort(&self, g: &mut State) {
         g.aborted = true;
         g.sched.clear();
+        g.cohorts.clear();
         g.ready_list.clear();
         for tid in 0..g.slots.len() {
             if g.slots[tid].pending.take().is_some() {
@@ -1416,6 +1801,12 @@ impl Shared {
         g.lines.get(key as usize).copied().unwrap_or_default()
     }
 
+    /// When the line is next free for a write (0 for an unbacked line).
+    #[inline]
+    fn available_at(&self, g: &State, key: u32) -> f64 {
+        g.lines.get(key as usize).map_or(0.0, |l| l.available_at)
+    }
+
     /// Mutable directory lookup, growing the dense table on demand.
     #[inline]
     fn line_mut<'a>(&self, g: &'a mut State, key: u32) -> &'a mut Line {
@@ -1428,7 +1819,7 @@ impl Shared {
 
     #[inline]
     fn value(&self, g: &State, addr: Addr) -> u32 {
-        g.values.get((addr >> 2) as usize).copied().unwrap_or(0)
+        read_word(&g.values, addr)
     }
 
     #[inline]
@@ -1438,65 +1829,6 @@ impl Shared {
             g.values.resize(i + 1, 0);
         }
         g.values[i] = v;
-    }
-
-    /// Cost of acquiring ownership for a write by `t`, and whether it was
-    /// remote. Does not include the RFO fan-out.
-    fn write_transfer(&self, t: CoreId, line: &Line) -> (f64, bool) {
-        match line.owner {
-            Some(o) if o == t => (self.topo.epsilon_ns(), false),
-            Some(o) => (self.topo.latency_row(t)[o], true),
-            None if line.sharers.is_empty() => (self.topo.epsilon_ns(), false),
-            None => {
-                let row = self.topo.latency_row(t);
-                let l = line.sharers.iter().map(|s| row[s]).fold(f64::INFINITY, f64::min);
-                (l, true)
-            }
-        }
-    }
-
-    /// RFO fan-out cost for a write by `t` to a line with the given sharer
-    /// set: the farthest invalidation `α_i·L_i` plus the per-extra-sharer
-    /// serialization charge at the network controller.
-    fn rfo_cost(&self, t: CoreId, sharers: &CoreSet) -> f64 {
-        let row = self.topo.rfo_row(t);
-        let mut n_other = 0usize;
-        let mut worst = 0.0f64;
-        for s in sharers.iter() {
-            if s == t {
-                continue;
-            }
-            n_other += 1;
-            worst = worst.max(row[s]);
-        }
-        if n_other == 0 {
-            0.0
-        } else {
-            worst + self.topo.coherence().inv_ns * (n_other - 1).min(INV_FANOUT_CAP) as f64
-        }
-    }
-
-    /// Latency to the farthest core currently holding a copy (owner or
-    /// sharer), excluding `t` itself. An exclusive-ownership acquisition
-    /// cannot commit before the farthest holder has acknowledged, so this
-    /// bounds the transfer term of a write from below — it is what makes a
-    /// write to a line whose *spinning reader* sits across the machine cost
-    /// the paper's `W_R = (1+α)·L_far` even when the previous writer was
-    /// nearby.
-    fn farthest_holder_latency(&self, t: CoreId, line: &Line) -> f64 {
-        let row = self.topo.latency_row(t);
-        let mut worst = 0.0f64;
-        if let Some(o) = line.owner {
-            if o != t {
-                worst = worst.max(row[o]);
-            }
-        }
-        for s in line.sharers.iter() {
-            if s != t {
-                worst = worst.max(row[s]);
-            }
-        }
-        worst
     }
 
     fn jitter(&self, g: &mut State) -> f64 {
@@ -1667,7 +1999,7 @@ impl Shared {
             // still-blocked waiter keeps its pre-spin view for diagnostics.
             // The self-hiding rule applies at entry: a thread must not block
             // waiting for a value sitting in its own store buffer.
-            OpReq::SpinUntil(a, _, _) => {
+            OpReq::SpinUntil(a, _) => {
                 self.weak_commit_watched(g, tid, std::slice::from_ref(a));
                 Some(op)
             }
@@ -1692,33 +2024,30 @@ impl Shared {
         };
         // Memory ops that hit a busy line (a write in flight) do not jump
         // the queue: the thread's clock advances to the line's availability
-        // point and the op is re-posted. This interleaves spin-loop
+        // point and the op waits again (`stall`). This interleaves spin-loop
         // registrations with queued RMWs in true time order — without it,
         // all arrivals of a centralized barrier would be serviced before
         // any spinner subscribes to the line, and the invalidation-crowd
         // cost that dominates SENSE on many-cores would vanish.
-        let busy_until = match &op {
+        let (busy_until, line) = match &op {
             OpReq::Load(a, _)
             | OpReq::Store(a, _, _)
             | OpReq::FetchAdd(a, _)
             | OpReq::CmpXchg(a, _, _)
             | OpReq::Swap(a, _)
-            | OpReq::SpinUntil(a, _, _) => self.line_at(g, self.line_key(*a)).available_at,
-            OpReq::SpinUntilAllGe(addrs, _) => addrs
-                .iter()
-                .map(|&a| self.line_at(g, self.line_key(a)).available_at)
-                .fold(0.0, f64::max),
-            _ => 0.0,
+            | OpReq::SpinUntil(a, _) => {
+                let key = self.line_key(*a);
+                (self.available_at(g, key), Some(key))
+            }
+            OpReq::SpinUntilAllGe(addrs, _) => (
+                addrs.iter().map(|&a| self.available_at(g, self.line_key(a))).fold(0.0, f64::max),
+                None,
+            ),
+            _ => (0.0, None),
         };
         if busy_until > g.time[tid] {
-            let is_write = matches!(
-                op,
-                OpReq::Store(..) | OpReq::FetchAdd(..) | OpReq::CmpXchg(..) | OpReq::Swap(..)
-            );
-            g.stats.record_stall(tid, is_write, busy_until - g.time[tid]);
-            g.time[tid] = busy_until;
             g.slots[tid].pending = Some(op);
-            g.post_ready((TimeKey(busy_until), tid));
+            self.stall(g, tid, busy_until, line);
             return;
         }
 
@@ -1767,39 +2096,26 @@ impl Shared {
                 self.wake_waiters(g, addr, tid);
                 self.reply(g, tid, Reply::Value(old));
             }
-            OpReq::SpinUntil(addr, pred, kind) => {
+            OpReq::SpinUntil(addr, cond) => {
                 let v = self.value(g, addr);
                 self.do_read(g, tid, addr);
-                if pred(v) {
+                if cond.holds(&g.values, addr) {
                     self.weak_spin_success(g, tid, addr, v);
                     self.reply(g, tid, Reply::Value(v));
                 } else {
-                    let keys = [self.line_key(addr)];
-                    g.waiters.register(
-                        Waiter { tid, addrs: vec![addr], cond: WaitCond::Pred(pred), kind },
-                        &keys,
-                    );
+                    g.waiters.register(Waiter { tid, addr, cond });
                 }
             }
             OpReq::SpinUntilAllGe(addrs, epoch) => {
                 self.do_batched_probe(g, tid, &addrs);
-                if self.all_ge(g, &addrs, epoch) {
-                    let seen = self.value(g, addrs[0]);
-                    self.weak_spin_success(g, tid, addrs[0], seen);
+                let addr = addrs[0];
+                let cond = WaitCond::AllGe(addrs, epoch);
+                if cond.holds(&g.values, addr) {
+                    let seen = self.value(g, addr);
+                    self.weak_spin_success(g, tid, addr, seen);
                     self.reply(g, tid, Reply::Value(epoch));
                 } else {
-                    let mut keys: Vec<u32> = addrs.iter().map(|&a| self.line_key(a)).collect();
-                    keys.sort_unstable();
-                    keys.dedup();
-                    g.waiters.register(
-                        Waiter {
-                            tid,
-                            addrs,
-                            cond: WaitCond::AllGe(epoch),
-                            kind: WaitKind::AllGe(epoch),
-                        },
-                        &keys,
-                    );
+                    g.waiters.register(Waiter { tid, addr, cond });
                 }
             }
             OpReq::Mark(label) => {
@@ -1854,10 +2170,6 @@ impl Shared {
         }
     }
 
-    fn all_ge(&self, g: &State, addrs: &[Addr], epoch: u32) -> bool {
-        addrs.iter().all(|&a| self.value(g, a) >= epoch)
-    }
-
     /// Initial probe of a batched wait: fetch every line the thread does
     /// not already share, overlapping the misses — pay the slowest fetch in
     /// full and a pipelining fraction of the rest.
@@ -1906,13 +2218,47 @@ impl Shared {
 
     fn do_write(&self, g: &mut State, tid: usize, addr: Addr, new_value: u32, rmw: Option<RmwOp>) {
         let now = g.time[tid];
+        let eps = self.topo.epsilon_ns();
         let key = self.line_key(addr);
-        let line_snapshot = self.line_at(g, key);
-        let start = now.max(line_snapshot.available_at);
-        let (near_transfer, remote) = self.write_transfer(tid, &line_snapshot);
-        let transfer = near_transfer.max(self.farthest_holder_latency(tid, &line_snapshot));
-        let sharers_snapshot = line_snapshot.sharers;
-        let rfo = self.rfo_cost(tid, &sharers_snapshot);
+        let line = self.line_at(g, key);
+        let start = now.max(line.available_at);
+        let lat = self.topo.latency_row(tid);
+        let rfo_row = self.topo.rfo_row(tid);
+        // One pass over the sharers: the nearest copy (the transfer source
+        // when no core owns the line), the farthest other holder (an
+        // exclusive acquisition cannot commit before it acknowledges — the
+        // paper's `W_R = (1+α)·L_far` when a spinning reader sits across
+        // the machine), the farthest invalidation `α_i·L_i`, and how many
+        // copies are invalidated.
+        let mut nearest = f64::INFINITY;
+        let mut farthest = 0.0f64;
+        let mut worst_rfo = 0.0f64;
+        let mut invalidated = 0usize;
+        for s in line.sharers.iter() {
+            nearest = nearest.min(lat[s]);
+            if s != tid {
+                farthest = farthest.max(lat[s]);
+                worst_rfo = worst_rfo.max(rfo_row[s]);
+                invalidated += 1;
+            }
+        }
+        let (near_transfer, remote) = match line.owner {
+            Some(o) if o == tid => (eps, false),
+            Some(o) => {
+                farthest = farthest.max(lat[o]);
+                (lat[o], true)
+            }
+            None if line.sharers.is_empty() => (eps, false),
+            None => (nearest, true),
+        };
+        let transfer = near_transfer.max(farthest);
+        // RFO fan-out: the farthest invalidation plus the per-extra-sharer
+        // serialization charge at the network controller.
+        let rfo = if invalidated == 0 {
+            0.0
+        } else {
+            worst_rfo + self.topo.coherence().inv_ns * (invalidated - 1).min(INV_FANOUT_CAP) as f64
+        };
         // Atomic RMWs carry a surcharge beyond a plain store: on ARMv8 the
         // far-atomic / exclusive-monitor handshake adds another partial
         // round trip. This is the cost the paper credits static tournament
@@ -1923,16 +2269,12 @@ impl Shared {
         // Under `RmwCosts::legacy` this is bit-identical to the pre-split
         // `ε + 0.5·transfer`.
         let rmw_alu = match rmw {
-            Some(op) => self.topo.rmw_costs().surcharge_ns(op, self.topo.epsilon_ns(), transfer),
+            Some(op) => self.topo.rmw_costs().surcharge_ns(op, eps, transfer),
             None => 0.0,
         };
         // Remote transfers occupy the shared interconnect; local writes to
         // an exclusively-held line do not.
-        let queue = if remote || sharers_snapshot.iter().any(|s| s != tid) {
-            self.noc_queue(g, start)
-        } else {
-            0.0
-        };
+        let queue = if remote || invalidated > 0 { self.noc_queue(g, start) } else { 0.0 };
         let jf = self.jitter(g);
         let end = start + queue + (transfer + rfo + rmw_alu) * jf;
 
@@ -1951,79 +2293,58 @@ impl Shared {
             w.last_seen[tid].insert(addr, new_value);
         }
         g.time[tid] = end;
-        let invalidated = sharers_snapshot.iter().filter(|&s| s != tid).count();
         g.stats.record_write(tid, key, remote, invalidated);
     }
 
-    /// After a write to `addr`'s line completes: waiters whose predicate is
-    /// now satisfied wake (paying the transfer from the writer plus the
-    /// staggered reader-contention term); unsatisfied waiters on the same
-    /// line immediately re-fetch it (they are spinning), so they rejoin the
-    /// sharer set and future writes keep paying invalidation costs to them.
+    /// After a write to `addr`'s line completes: every live waiter on the
+    /// line re-fetches it (they are spinning), so they rejoin the sharer set
+    /// and future writes keep paying invalidation costs to them; those whose
+    /// condition now holds wake, paying the transfer from the writer plus
+    /// the staggered reader-contention term.
     fn wake_waiters(&self, g: &mut State, addr: Addr, writer: usize) {
         let key = self.line_key(addr);
-        // Only waiters indexed under this line can match; the per-line
-        // bucket replaces the old scan over every blocked thread in the
-        // machine. Entries are `(seq, slot)` in registration order, so the
-        // wake order (and therefore every staggered wake time and jitter
-        // draw) is identical to the flat list's.
-        let bucket = g.waiters.take_bucket(key);
-        if bucket.is_empty() {
-            return;
-        }
+        let Some((live, count)) = g.waiters.live_on(key) else { return };
+        let line = self.line_mut(g, key);
+        line.sharers.union_with(&live);
+        line.readers_since_write += count;
+        let value = self.value(g, addr);
+        // Satisfied waiters come back in registration order, so every
+        // staggered wake time and jitter draw matches the order of the flat
+        // waiter list this index replaced.
+        let (satisfied, visits) = g.waiters.take_satisfied(key, addr, value, &g.values);
+        let engine = g.stats.engine_mut();
+        engine.waiter_visits += visits;
+        engine.wakes += satisfied.len() as u64;
         let end = g.time[writer];
         let read_c = self.topo.coherence().read_contention_ns;
-
-        let mut woken = 0usize;
-        let mut remaining = Vec::with_capacity(bucket.len());
-        for (seq, slot) in bucket {
-            // A stale entry (multi-line waiter already woken via another of
-            // its lines) no longer matches its slot's seq; drop it.
-            let Some(w) = g.waiters.take_slot(slot, seq) else { continue };
-            let satisfied = match &w.cond {
-                WaitCond::Pred(pred) => pred(self.value(g, w.addrs[0])),
-                WaitCond::AllGe(epoch) => self.all_ge(g, &w.addrs, *epoch),
+        for (woken, &(_, slot)) in satisfied.iter().enumerate() {
+            let w = g.waiters.remove(slot);
+            let lat = self.topo.latency_row(w.tid)[writer];
+            // A batched waiter re-fetched every other flag line as its
+            // writers dirtied it; those (pipelined) refetches are paid now,
+            // as the overlap fraction of each line's pull from its current
+            // owner. Without this, a flat 64-way group would observe 63
+            // arrivals for the price of one.
+            let mlp_extra: f64 = match &w.cond {
+                WaitCond::AllGe(addrs, _) => addrs
+                    .iter()
+                    .filter(|&&a| self.line_key(a) != key)
+                    .map(|&a| {
+                        self.line_at(g, self.line_key(a))
+                            .owner
+                            .map_or(0.0, |o| 0.3 * self.topo.latency_row(w.tid)[o])
+                    })
+                    .sum(),
+                _ => 0.0,
             };
-            // Whether woken or still spinning, the waiter re-fetches the
-            // written line immediately, rejoining the sharer set so that
-            // subsequent writes keep paying invalidation costs to it.
-            let line = self.line_mut(g, key);
-            line.sharers.insert(w.tid);
-            line.readers_since_write += 1;
-            if satisfied {
-                let lat = self.topo.latency_row(w.tid)[writer];
-                // A batched waiter re-fetched every other flag line as its
-                // writers dirtied it; those (pipelined) refetches are paid
-                // now, as the overlap fraction of each line's pull from its
-                // current owner. Without this, a flat 64-way group would
-                // observe 63 arrivals for the price of one.
-                let mlp_extra: f64 = match &w.cond {
-                    WaitCond::Pred(_) => 0.0,
-                    WaitCond::AllGe(_) => w
-                        .addrs
-                        .iter()
-                        .filter(|&&a| self.line_key(a) != key)
-                        .map(|&a| {
-                            self.line_at(g, self.line_key(a))
-                                .owner
-                                .map_or(0.0, |o| 0.3 * self.topo.latency_row(w.tid)[o])
-                        })
-                        .sum(),
-                };
-                let jf = self.jitter(g);
-                g.time[w.tid] = end + (lat + mlp_extra + read_c * woken as f64) * jf;
-                woken += 1;
-                let reply_value = self.value(g, w.addrs[0]);
-                self.weak_spin_success(g, w.tid, w.addrs[0], reply_value);
-                g.stats.record_spin_wakeup(w.tid);
-                self.reply(g, w.tid, Reply::Value(reply_value));
-                g.waiters.release(slot);
-            } else {
-                g.waiters.restore(slot, seq, w);
-                remaining.push((seq, slot));
-            }
+            let jf = self.jitter(g);
+            g.time[w.tid] = end + (lat + mlp_extra + read_c * woken as f64) * jf;
+            let reply_value = self.value(g, w.addr);
+            self.weak_spin_success(g, w.tid, w.addr, reply_value);
+            g.stats.record_spin_wakeup(w.tid);
+            self.reply(g, w.tid, Reply::Value(reply_value));
         }
-        g.waiters.put_bucket(key, remaining);
+        g.waiters.recycle(satisfied);
     }
 }
 

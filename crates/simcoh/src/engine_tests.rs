@@ -4,12 +4,12 @@
 
 use std::sync::Arc;
 
-use armbar_topology::{Topology, TopologyBuilder};
+use armbar_topology::{Platform, Topology, TopologyBuilder};
 
-use crate::arena::Arena;
-use crate::engine::SimBuilder;
+use crate::arena::{Addr, Arena};
+use crate::engine::{SimBuilder, SimThread};
 use crate::error::SimError;
-use crate::stats::OpKind;
+use crate::stats::{OpKind, RunStats};
 
 /// 8 cores, clusters of 4, zero jitter, no NoC charge:
 /// ε = 1, L0 = 10 (α 0.5), L1 = 40 (α 0.5), inv = 2, read contention = 3.
@@ -298,25 +298,297 @@ fn barrier_body(counter: u32, flag: u32, n: u32) -> impl Fn(&crate::engine::SimT
     }
 }
 
+/// A shareable simulated-thread body.
+type Body = Arc<dyn Fn(&SimThread) + Send + Sync>;
+
+/// One contended input: a machine, a width and a body whose addresses are
+/// already allocated, so several runs of it see the same memory.
+struct Case {
+    name: &'static str,
+    topo: Arc<Topology>,
+    p: usize,
+    body: Body,
+}
+
+impl Case {
+    fn builder(&self) -> SimBuilder {
+        SimBuilder::new(Arc::clone(&self.topo), self.p).seed(42)
+    }
+
+    fn run(&self, policy: bool) -> RunStats {
+        let b = self.builder();
+        let b = if policy { b.schedule_policy(MinTimePolicy) } else { b };
+        let body = Arc::clone(&self.body);
+        b.run(move |ctx| body(ctx)).unwrap_or_else(|e| panic!("{}: {e}", self.name))
+    }
+}
+
+/// Asserts two runs made the same decisions with the same costs: order
+/// fingerprint, per-thread times, op counts, per-thread coherence counters
+/// (stall counts and stall time included) and engine work counters.
+fn assert_same_run(a: &RunStats, b: &RunStats, what: &str) {
+    assert_eq!(a.schedule_hash(), b.schedule_hash(), "{what}: processing order");
+    assert_eq!(a.per_thread_time_ns(), b.per_thread_time_ns(), "{what}: thread times");
+    for k in OpKind::ALL {
+        assert_eq!(a.ops(k), b.ops(k), "{what}: {k:?} count");
+    }
+    assert_eq!(a.coherence().per_thread(), b.coherence().per_thread(), "{what}: counters");
+    assert_eq!(a.engine(), b.engine(), "{what}: engine counters");
+}
+
+/// Test-and-test-and-set CAS lock around a read-modify-write of `data`.
+fn cas_storm(lock: Addr, data: Addr, rounds: u32) -> Body {
+    Arc::new(move |ctx: &SimThread| {
+        for _ in 0..rounds {
+            while ctx.compare_exchange(lock, 0, 1) != 0 {
+                ctx.spin_until_eq(lock, 0);
+            }
+            let v = ctx.load(data);
+            ctx.store(data, v + 1);
+            ctx.store(lock, 0);
+        }
+    })
+}
+
+/// SHY-CTR's shape: a CAS lock and a monotonic counter on one line, the
+/// waiters spinning for the counter to reach the episode's multiple of P.
+fn shy_ctr(lock: Addr, count: Addr, episodes: u32) -> Body {
+    Arc::new(move |ctx: &SimThread| {
+        let p = ctx.nthreads() as u32;
+        for _ in 0..episodes {
+            while ctx.compare_exchange(lock, 0, 1) != 0 {
+                ctx.spin_until_eq(lock, 0);
+            }
+            let c = ctx.load(count) + 1;
+            ctx.store_relaxed(count, c);
+            ctx.store(lock, 0);
+            ctx.spin_until_ge(count, c.div_ceil(p) * p);
+        }
+    })
+}
+
+/// SENSE's shape (libgomp layout): counter and global sense on one line.
+fn sense(counter: Addr, gsense: Addr, episodes: u32) -> Body {
+    Arc::new(move |ctx: &SimThread| {
+        let p = ctx.nthreads() as u32;
+        let mut local = 0;
+        for _ in 0..episodes {
+            local = 1 - local;
+            if ctx.fetch_add(counter, 1) + 1 == p {
+                ctx.store(counter, 0);
+                ctx.store(gsense, local);
+            } else {
+                ctx.spin_until_eq(gsense, local);
+            }
+        }
+    })
+}
+
+/// Every kind of waiter on one line: `Eq` on word `a`, `Ge` and an opaque
+/// predicate on word `b`, an all-≥ wait over `a` and a word on another
+/// line, while RMWs on a third word of the line keep it busy.
+fn mixed_waiters(a: Addr, b: Addr, d: Addr, other: Addr) -> Body {
+    Arc::new(move |ctx: &SimThread| match ctx.tid() {
+        0 => {
+            for r in 1..=4 {
+                ctx.compute_ns(200.0);
+                ctx.store(a, r);
+                ctx.compute_ns(7.0);
+                ctx.store(b, r);
+                ctx.store(other, r);
+            }
+        }
+        1 => {
+            for r in 1..=4 {
+                ctx.spin_until_eq(a, r);
+            }
+        }
+        2 => {
+            for r in 1..=4 {
+                ctx.spin_until_ge(b, r);
+            }
+        }
+        3 => {
+            for r in 1..=4 {
+                ctx.spin_until_all_ge(&[a, other], r);
+            }
+        }
+        4 => {
+            for r in 1..=4 {
+                ctx.spin_until(b, move |v| v >= r);
+            }
+        }
+        5 => {
+            ctx.spin_until_ge(a, 4);
+        }
+        _ => {
+            for _ in 0..8 {
+                ctx.fetch_add(d, 1);
+                ctx.compute_ns(20.0);
+            }
+        }
+    })
+}
+
+fn jittery8() -> Arc<Topology> {
+    Arc::new(
+        TopologyBuilder::new("t8j", 8)
+            .epsilon_ns(1.0)
+            .layer("near", 10.0, 0.5)
+            .layer("far", 40.0, 0.5)
+            .hierarchy(&[4])
+            .coherence(2.0, 3.0, 0.2)
+            .build(),
+    )
+}
+
+/// The contended inputs the default engine's fast paths (stall cohorts,
+/// condition-indexed waiters) must reproduce exactly.
+fn contended_cases() -> Vec<Case> {
+    let mut cases = Vec::new();
+    let mut arena = Arena::new();
+    let (counter, flag) = (arena.alloc_padded_u32(64), arena.alloc_padded_u32(64));
+    let body = barrier_body(counter, flag, 6);
+    cases.push(Case { name: "counter barrier", topo: topo(), p: 6, body: Arc::new(body) });
+
+    let tx2 = Arc::new(Topology::preset(Platform::ThunderX2));
+    assert!(tx2.shard_of(47) != tx2.shard_of(0), "P=48 must span two scheduler shards");
+    let mut arena = Arena::new();
+    let (lock, data) = (arena.alloc_padded_u32(64), arena.alloc_padded_u32(64));
+    cases.push(Case {
+        name: "CAS storm P=48 ThunderX2",
+        topo: tx2,
+        p: 48,
+        body: cas_storm(lock, data, 3),
+    });
+
+    let phytium = Arc::new(Topology::preset(Platform::Phytium2000Plus));
+    let line = phytium.cacheline_bytes();
+    let mut arena = Arena::new();
+    let base = arena.alloc(line, line);
+    cases.push(Case {
+        name: "SHY-CTR P=64 Phytium",
+        topo: Arc::clone(&phytium),
+        p: 64,
+        body: shy_ctr(base, base + 4, 3),
+    });
+    let mut arena = Arena::new();
+    let base = arena.alloc(line, line);
+    cases.push(Case {
+        name: "SENSE P=64 Phytium",
+        topo: phytium,
+        p: 64,
+        body: sense(base, base + 4, 3),
+    });
+
+    let mut arena = Arena::new();
+    let base = arena.alloc(64, 64);
+    let other = arena.alloc_padded_u32(64);
+    cases.push(Case {
+        name: "mixed waiters on one line",
+        topo: jittery8(),
+        p: 8,
+        body: mixed_waiters(base, base + 4, base + 8, other),
+    });
+    cases
+}
+
 #[test]
 fn policy_mode_matches_default_with_min_time_policy() {
-    let make = |policy: bool| {
-        let mut arena = Arena::new();
-        let counter = arena.alloc_padded_u32(64);
-        let flag = arena.alloc_padded_u32(64);
-        let b = SimBuilder::new(topo(), 6).seed(42);
-        let b = if policy { b.schedule_policy(MinTimePolicy) } else { b };
-        b.run(barrier_body(counter, flag, 6)).unwrap()
-    };
-    let default = make(false);
-    let policied = make(true);
-    assert_eq!(default.per_thread_time_ns(), policied.per_thread_time_ns());
-    assert_eq!(default.total_mem_ops(), policied.total_mem_ops());
-    assert_eq!(
-        default.schedule_hash(),
-        policied.schedule_hash(),
-        "MinTimePolicy must reproduce the default processing order exactly"
-    );
+    // Policy mode re-posts every busy-line stall through the ready list
+    // and shares nothing with the stall cohorts, so it is an independent
+    // reference for the default engine's contended-line fast path.
+    for case in contended_cases() {
+        let default = case.run(false);
+        let policied = case.run(true);
+        assert_same_run(&default, &policied, case.name);
+    }
+}
+
+#[test]
+fn engine_counters_match_across_transports() {
+    // `SimBuilder::run` takes the default transport (fibers unless
+    // ARMBAR_SIM_FIBERS=0); an explicit `SimTeam` always runs OS threads.
+    for case in contended_cases() {
+        let ambient = case.run(false);
+        let body = Arc::clone(&case.body);
+        let os = crate::team::SimTeam::new(case.p)
+            .run(case.builder(), move |ctx| body(ctx))
+            .unwrap_or_else(|e| panic!("{}: {e}", case.name));
+        assert_same_run(&ambient, &os, case.name);
+        // Every stall re-stamps once and every woken spinner is a wake.
+        let (e, total) = (ambient.engine(), ambient.coherence().total());
+        assert_eq!(e.restamps, total.write_stalls + total.read_stalls, "{}", case.name);
+        assert_eq!(e.wakes, ambient.ops(OpKind::SpinWakeup), "{}", case.name);
+    }
+}
+
+#[test]
+fn wakes_follow_registration_order_across_condition_kinds() {
+    // One write satisfies an opaque predicate, a `Ge` and an `Eq` waiter,
+    // registered in that order. The reader-contention stagger (3 ns per
+    // earlier wake) must follow registration order, as the flat waiter
+    // scan did — not the index's grouping.
+    let mut arena = Arena::new();
+    let b = arena.alloc_padded_u32(64);
+    let stats = SimBuilder::new(topo(), 5)
+        .run(move |ctx| match ctx.tid() {
+            0 => {
+                ctx.compute_ns(100.0);
+                ctx.store(b, 1);
+            }
+            1 => {
+                ctx.spin_until(b, |v| v >= 1);
+            }
+            4 => {
+                ctx.compute_ns(5.0);
+                ctx.spin_until_ge(b, 1);
+            }
+            2 => {
+                ctx.compute_ns(10.0);
+                ctx.spin_until_eq(b, 1);
+            }
+            _ => {}
+        })
+        .unwrap();
+    let t = stats.per_thread_time_ns();
+    // Near waiters pay L0 = 10, the far one L1 = 40, plus 3 ns per wake
+    // ahead of them.
+    assert_eq!(t[1] - t[0], 10.0);
+    assert_eq!(t[4] - t[0], 40.0 + 3.0);
+    assert_eq!(t[2] - t[0], 10.0 + 6.0);
+    assert_eq!(stats.engine().wakes, 3);
+}
+
+#[test]
+fn run_releases_the_body_and_engine_state() {
+    // The body (and everything it captures) must be dropped by the time
+    // `run` returns, on success and on failure alike — a transport that
+    // keeps it alive leaks the episode's engine state with it.
+    let sentinel = Arc::new(());
+    let mut arena = Arena::new();
+    let flag = arena.alloc_padded_u32(64);
+    let keep = Arc::clone(&sentinel);
+    SimBuilder::new(topo(), 4)
+        .run(move |ctx| {
+            let _held = &keep;
+            if ctx.tid() == 0 {
+                ctx.store(flag, 1);
+            } else {
+                ctx.spin_until_eq(flag, 1);
+            }
+        })
+        .unwrap();
+    assert_eq!(Arc::strong_count(&sentinel), 1, "a completed run kept its body alive");
+    let keep = Arc::clone(&sentinel);
+    let err = SimBuilder::new(topo(), 2)
+        .run(move |ctx| {
+            let _held = &keep;
+            ctx.spin_until_eq(flag, 1); // nobody writes: deadlock
+        })
+        .unwrap_err();
+    assert!(matches!(err, SimError::Deadlock { .. }), "{err}");
+    assert_eq!(Arc::strong_count(&sentinel), 1, "a failed run kept its body alive");
 }
 
 /// Always runs the highest-index ready op: a maximally unfair order that

@@ -315,6 +315,10 @@ mod imp {
     /// through the engine's finish protocol. Panics — user or the engine's
     /// internal `AbortSignal` tear-down — are caught here; unwinding past
     /// the hand-seeded boot frame would be undefined behavior.
+    ///
+    /// This frame never returns, so nothing it owns is ever dropped
+    /// implicitly: every owned value (the engine state and body `Arc`s
+    /// above all) must be gone before the terminal `finish_current`.
     unsafe extern "C" fn fiber_entry(arg: *mut BootArgs) -> ! {
         // SAFETY: `arg` points at the Box the Fiber owns; the runtime (and
         // therefore the fiber table) outlives this fiber.
@@ -338,8 +342,12 @@ mod imp {
         };
         let deferred = ctx.take_deferred();
         drop(ctx);
-        let (wakes, _all_done) = shared.finish_thread_core(tid, panic_msg, deferred);
-        rt.enqueue_wakes(&wakes, tid);
+        drop(body);
+        shared.finish_thread_core(tid, panic_msg, deferred, |wakes| {
+            rt.enqueue_wakes(wakes, tid);
+            wakes.clear();
+        });
+        drop(shared);
         rt.finish_current()
     }
 

@@ -86,5 +86,7 @@ pub use schedule::{
     LoadOrder, MinTimePolicy, ReadyOp, ReadyOpKind, ScheduleDecision, SchedulePolicy, StoreOrder,
     WeakDecision, WeakOp, WeakOpKind,
 };
-pub use stats::{CoherenceCounters, CoherenceStats, LineTraffic, Mark, OpKind, RunStats};
+pub use stats::{
+    CoherenceCounters, CoherenceStats, EngineCounters, LineTraffic, Mark, OpKind, RunStats,
+};
 pub use team::SimTeam;

@@ -59,20 +59,44 @@ impl CoreSet {
         self.bits = [0; Self::WORDS];
     }
 
+    /// Adds every member of `other`.
+    #[inline]
+    pub fn union_with(&mut self, other: &CoreSet) {
+        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
+            *a |= b;
+        }
+    }
+
     /// Iterates over member core ids in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
-        (0..Self::WORDS).flat_map(move |w| {
-            let mut word = self.bits[w];
-            std::iter::from_fn(move || {
-                if word == 0 {
-                    None
-                } else {
-                    let b = word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    Some(w * 64 + b)
-                }
-            })
-        })
+    #[inline]
+    pub fn iter(&self) -> CoreSetIter<'_> {
+        CoreSetIter { bits: &self.bits, word: 0, cur: self.bits[0] }
+    }
+}
+
+/// Ascending iterator over a [`CoreSet`]: walks the set bits of one word at
+/// a time and skips empty words with a single comparison each.
+pub struct CoreSetIter<'a> {
+    bits: &'a [u64; CoreSet::WORDS],
+    word: usize,
+    cur: u64,
+}
+
+impl Iterator for CoreSetIter<'_> {
+    type Item = CoreId;
+
+    #[inline]
+    fn next(&mut self) -> Option<CoreId> {
+        while self.cur == 0 {
+            self.word += 1;
+            if self.word >= CoreSet::WORDS {
+                return None;
+            }
+            self.cur = self.bits[self.word];
+        }
+        let b = self.cur.trailing_zeros() as usize;
+        self.cur &= self.cur - 1;
+        Some(self.word * 64 + b)
     }
 }
 
@@ -168,6 +192,15 @@ mod tests {
         assert_eq!(s.len(), 2);
         let full: CoreSet = (0..CoreSet::CAPACITY).collect();
         assert_eq!(full.len(), 1024);
+    }
+
+    #[test]
+    fn coreset_union_and_sparse_iter() {
+        let mut a: CoreSet = [3usize, 700].into_iter().collect();
+        let b: CoreSet = [3usize, 64, 1023].into_iter().collect();
+        a.union_with(&b);
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![3, 64, 700, 1023]);
+        assert_eq!(CoreSet::EMPTY.iter().next(), None);
     }
 
     #[test]

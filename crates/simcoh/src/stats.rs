@@ -146,6 +146,29 @@ impl CoherenceCounters {
     }
 }
 
+/// Host-side work the engine did for one run: how its contended-line paths
+/// were exercised. Every field is a pure function of (topology, seed,
+/// program), identical under both transports and, for a [`MinTimePolicy`]
+/// run, identical to the default engine's.
+///
+/// [`MinTimePolicy`]: crate::schedule::MinTimePolicy
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineCounters {
+    /// Operations the scheduler handed to the cost model, whether taken
+    /// from a shard heap, run inline from a stall cohort, or picked by a
+    /// schedule policy.
+    pub pops: u64,
+    /// Pops that found their line busy and had the thread's clock moved to
+    /// the line's availability (the op is dispatched again later).
+    pub restamps: u64,
+    /// Live spin-waiter registrations a write examined: members of the
+    /// `Eq`/`Ge` groups the written value satisfied, plus every opaque
+    /// (`spin_until` predicate or all-≥) waiter on the written line.
+    pub waiter_visits: u64,
+    /// Spin-waiters woken by a write.
+    pub wakes: u64,
+}
+
 /// Snapshot of the per-thread coherence counters of a run.
 #[derive(Debug, Clone, Default)]
 pub struct CoherenceStats {
@@ -189,6 +212,7 @@ pub struct RunStats {
     marks: Vec<Mark>,
     line_traffic: std::collections::HashMap<u32, LineTraffic>,
     coherence: CoherenceStats,
+    engine: EngineCounters,
     schedule_hash: u64,
 }
 
@@ -200,6 +224,7 @@ impl RunStats {
             marks: Vec::new(),
             line_traffic: std::collections::HashMap::new(),
             coherence: CoherenceStats::new(nthreads),
+            engine: EngineCounters::default(),
             schedule_hash: 0,
         }
     }
@@ -284,6 +309,10 @@ impl RunStats {
         }
     }
 
+    pub(crate) fn engine_mut(&mut self) -> &mut EngineCounters {
+        &mut self.engine
+    }
+
     /// Accounts one blocking spin-wait of `tid` woken by a write.
     pub(crate) fn record_spin_wakeup(&mut self, tid: usize) {
         self.coherence.thread_mut(tid).spin_wakeups += 1;
@@ -324,6 +353,11 @@ impl RunStats {
     /// Per-thread coherence-op counters accumulated over the run.
     pub fn coherence(&self) -> &CoherenceStats {
         &self.coherence
+    }
+
+    /// The engine's host-side work counters for the run.
+    pub fn engine(&self) -> EngineCounters {
+        self.engine
     }
 
     /// The `n` most-written lines, descending — the hot spots.

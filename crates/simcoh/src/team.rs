@@ -155,8 +155,12 @@ impl SimTeam {
             cv.notify_one();
         }
         // `collect` returns only after every participant passed its finish
-        // point, so the next episode cannot race this one's workers.
-        shared.collect()
+        // point, so the next episode cannot race this one's workers. Every
+        // participant has taken its copy of the job by then: unpublish it,
+        // so the body and the engine state do not outlive the run.
+        let result = shared.collect();
+        self.ctrl.mx.lock().job = None;
+        result
     }
 }
 
@@ -186,22 +190,26 @@ fn worker_loop(index: usize, ctrl: &Ctrl) {
                 }
                 if c.epoch != seen {
                     seen = c.epoch;
-                    let job = c.job.clone().expect("epoch advanced without a job");
-                    if index < job.participants {
-                        break job;
+                    match &c.job {
+                        Some(job) if index < job.participants => break job.clone(),
+                        // Not a participant this episode (or it is already
+                        // over); fall through to wait. (No missed work:
+                        // `run` blocks until an episode fully finishes
+                        // before publishing the next, so a participant is
+                        // always parked here — or about to re-check the
+                        // epoch — when its episode appears.)
+                        _ => continue,
                     }
-                    // Not a participant this episode; fall through to wait.
-                    // (No missed work: the driver blocks until an episode
-                    // fully finishes before publishing the next, so a
-                    // participant is always parked here — or about to
-                    // re-check the epoch — when its episode appears.)
-                    continue;
                 }
                 ctrl.start_cv[index].wait(&mut c);
             }
         };
-        let ctx = SimThread::new(Arc::clone(&job.shared), index, job.participants);
-        let result = catch_unwind(AssertUnwindSafe(|| (job.body)(&ctx)));
+        let Episode { shared, body, participants } = job;
+        let ctx = SimThread::new(Arc::clone(&shared), index, participants);
+        let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
+        // Release the body before the finish point: once the last
+        // participant finishes, `SimTeam::run` returns.
+        drop(body);
         let panic_msg = match result {
             Ok(()) => None,
             // NB: `&*p` reborrows the payload itself; `&p` would unsize the
@@ -214,7 +222,7 @@ fn worker_loop(index: usize, ctrl: &Ctrl) {
                 }
             }
         };
-        job.shared.finish_thread(index, panic_msg, ctx.take_deferred());
+        shared.finish_thread(index, panic_msg, ctx.take_deferred());
     }
 }
 
