@@ -11,7 +11,8 @@ use std::sync::Arc;
 
 use armbar_core::env::{MARK_ENTER, MARK_EXIT};
 use armbar_core::{AlgorithmId, Barrier, EpisodeOracle};
-use armbar_simcoh::stats::Mark;
+use armbar_simcoh::schedule::SchedulePolicy;
+use armbar_simcoh::stats::{Mark, RunStats};
 use armbar_simcoh::{Arena, SimBuilder, SimError};
 use armbar_sweep::{Job, SweepPool};
 use armbar_topology::{Platform, Topology};
@@ -210,20 +211,15 @@ pub(crate) fn run_trial_with(
     explorer: ExplorerConfig,
     op_budget: u64,
 ) -> TrialResult {
-    let p = threads.min(topo.num_cores()).max(1);
-    let mut arena = Arena::new();
-    let barrier: Arc<dyn Barrier> = Arc::from(build(&mut arena, p, topo));
-    let oracle = EpisodeOracle::new(&mut arena, p, topo.cacheline_bytes());
-    let result = SimBuilder::new(Arc::clone(topo), p)
-        .seed(seed)
-        .op_budget(op_budget)
-        .reserve_for(&arena)
-        .schedule_policy(ExplorerPolicy::new(seed, explorer))
-        .run(move |sim| {
-            for e in 1..=episodes {
-                barrier.wait_conformed(sim, &oracle, e);
-            }
-        });
+    let (p, result) = simulate_trial(
+        topo,
+        build,
+        threads,
+        episodes,
+        seed,
+        op_budget,
+        ExplorerPolicy::new(seed, explorer),
+    );
     match result {
         Ok(stats) => match check_quiescence(stats.marks(), p, episodes) {
             Ok(()) => Ok(stats.schedule_hash()),
@@ -250,6 +246,34 @@ pub(crate) fn run_trial_with(
             Err((ViolationKind::Livelock, format!("{ops} ops exceeded budget {budget}")))
         }
     }
+}
+
+/// The engine run behind one trial, under any schedule `policy`: the
+/// participant count and the raw result, before classification.
+pub(crate) fn simulate_trial(
+    topo: &Arc<Topology>,
+    build: &dyn Fn(&mut Arena, usize, &Topology) -> Box<dyn Barrier>,
+    threads: usize,
+    episodes: u32,
+    seed: u64,
+    op_budget: u64,
+    policy: impl SchedulePolicy + 'static,
+) -> (usize, Result<RunStats, SimError>) {
+    let p = threads.min(topo.num_cores()).max(1);
+    let mut arena = Arena::new();
+    let barrier: Arc<dyn Barrier> = Arc::from(build(&mut arena, p, topo));
+    let oracle = EpisodeOracle::new(&mut arena, p, topo.cacheline_bytes());
+    let result = SimBuilder::new(Arc::clone(topo), p)
+        .seed(seed)
+        .op_budget(op_budget)
+        .reserve_for(&arena)
+        .schedule_policy(policy)
+        .run(move |sim| {
+            for e in 1..=episodes {
+                barrier.wait_conformed(sim, &oracle, e);
+            }
+        });
+    (p, result)
 }
 
 /// The quiescence oracle: each thread's phase marks must be exactly

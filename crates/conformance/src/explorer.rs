@@ -18,6 +18,9 @@
 //! policy degrades to the default minimum-time order, which keeps
 //! perturbed runs finite and makes the budget the natural shrinking axis:
 //! a violation reproducible at budget 0 needed no perturbation at all.
+//! Once the reorder budget of the fourth mechanism below is spent too (or
+//! is 0), the policy reports itself settled and the engine runs the rest
+//! of the trial on its heap scheduler without consulting it.
 //!
 //! A fourth, **orthogonal** mechanism searches the engine's bounded
 //! weak-memory mode (DESIGN.md §15): whenever a relaxed operation could
@@ -183,6 +186,12 @@ impl SchedulePolicy for ExplorerPolicy {
             WeakDecision::Strong
         }
     }
+
+    /// Both budgets spent: `pick` is the oldest ready op and `weak` is
+    /// strong from here on, and neither draws from its stream.
+    fn settled(&self) -> bool {
+        self.remaining == 0 && self.reorder_remaining == 0
+    }
 }
 
 #[cfg(test)]
@@ -282,6 +291,28 @@ mod tests {
         let weaks = (0..1000).filter(|i| p.weak(&wop(i % 8)) == WeakDecision::Weak).count();
         assert_eq!(weaks, 5, "prob 1.0 must spend exactly the reorder budget");
         assert_eq!(p.reorder_remaining, 0);
+    }
+
+    #[test]
+    fn settles_once_both_budgets_are_spent() {
+        let ready = [op(0, 1.0, ReadyOpKind::Write), op(1, 1.0, ReadyOpKind::Write)];
+        let cfg = ExplorerConfig { reorder_prob: 1.0, budget: 3, ..Default::default() };
+        assert!(ExplorerPolicy::new(5, cfg.with_budget(0)).settled());
+        let mut p = ExplorerPolicy::new(5, cfg.with_reorder_budget(2));
+        while p.remaining > 0 {
+            assert!(!p.settled());
+            p.pick(&ready, None);
+        }
+        assert!(!p.settled(), "the reorder budget is not spent yet");
+        p.weak(&wop(0));
+        p.weak(&wop(1));
+        assert!(p.settled());
+        // Settled: the oldest op, every time, and the streams stand still.
+        let (mut rng, mut wrng) = (p.rng.clone(), p.wrng.clone());
+        assert_eq!(p.pick(&ready, None), ScheduleDecision::Run(0));
+        assert_eq!(p.weak(&wop(0)), WeakDecision::Strong);
+        assert_eq!(p.rng.next_u64(), rng.next_u64());
+        assert_eq!(p.wrng.next_u64(), wrng.next_u64());
     }
 
     #[test]

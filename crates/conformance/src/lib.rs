@@ -45,6 +45,8 @@
 //! ```
 
 pub mod checker;
+#[cfg(test)]
+mod exactness_tests;
 pub mod explorer;
 pub mod fence;
 mod litmus;

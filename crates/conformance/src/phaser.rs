@@ -30,7 +30,8 @@ use armbar_core::phaser::{
 use armbar_core::{AlgorithmId, BarrierError, RobustConfig, RobustPhaser};
 use armbar_faults::harness::CHURN_SIM_MAX_POLLS;
 use armbar_faults::{build_phaser, churn_thread, ChurnPlan, ChurnVerdict, Scenario};
-use armbar_simcoh::stats::Mark;
+use armbar_simcoh::schedule::SchedulePolicy;
+use armbar_simcoh::stats::{Mark, RunStats};
 use armbar_simcoh::{Arena, SimBuilder, SimError};
 use armbar_sweep::{Job, SweepPool};
 use armbar_topology::{Platform, Topology};
@@ -169,32 +170,15 @@ pub(crate) fn run_phaser_trial_with(
     seed: u64,
     explorer: ExplorerConfig,
 ) -> TrialResult {
-    let p = cfg.threads.min(topo.num_cores()).max(2);
-    let plan = ChurnPlan::scenario(scenario, seed, p, episodes);
-    let mut arena = Arena::new();
-    let inner = build(&mut arena, p, plan.initial_members(), topo);
-    let aux = arena.alloc_padded_u32(topo.cacheline_bytes());
-    let robust = Arc::new(RobustPhaser::new(
-        &mut arena,
-        topo.cacheline_bytes(),
-        inner,
-        RobustConfig { max_polls: Some(cfg.max_polls), ..RobustConfig::default() },
-    ));
-    let verdicts = Arc::new(Mutex::new(vec![None; p]));
-    let result = SimBuilder::new(Arc::clone(topo), p)
-        .seed(seed)
-        .op_budget(cfg.op_budget)
-        .reserve_for(&arena)
-        .schedule_policy(ExplorerPolicy::new(seed, explorer))
-        .run({
-            let robust = Arc::clone(&robust);
-            let verdicts = Arc::clone(&verdicts);
-            let plan = plan.clone();
-            move |sim| {
-                let v = churn_thread(&robust, sim, &plan, aux, episodes);
-                verdicts.lock().unwrap()[sim.tid()] = Some(v);
-            }
-        });
+    let (plan, result, verdicts) = simulate_phaser_trial(
+        topo,
+        build,
+        scenario,
+        cfg,
+        episodes,
+        seed,
+        ExplorerPolicy::new(seed, explorer),
+    );
     let stats = match result {
         Ok(stats) => stats,
         Err(SimError::Deadlock { waiters }) => {
@@ -213,11 +197,52 @@ pub(crate) fn run_phaser_trial_with(
             return Err((ViolationKind::Livelock, format!("{ops} ops exceeded budget {budget}")))
         }
     };
-    let verdicts: Vec<ChurnVerdict> =
-        verdicts.lock().unwrap().iter().cloned().map(Option::unwrap).collect();
+    let verdicts: Vec<ChurnVerdict> = verdicts.into_iter().map(Option::unwrap).collect();
     check_verdicts(&plan, &verdicts)?;
-    check_membership_ledger(stats.marks(), p, plan.initial_members(), episodes)
+    check_membership_ledger(stats.marks(), verdicts.len(), plan.initial_members(), episodes)
         .map(|()| stats.schedule_hash())
+}
+
+/// The engine run behind one churn trial, under any schedule `policy`: the
+/// script, the raw result and each slot's verdict (`None` for a slot whose
+/// body did not finish), before classification.
+pub(crate) fn simulate_phaser_trial(
+    topo: &Arc<Topology>,
+    build: PhaserFactory<'_>,
+    scenario: Scenario,
+    cfg: &PhaserConformConfig,
+    episodes: u32,
+    seed: u64,
+    policy: impl SchedulePolicy + 'static,
+) -> (ChurnPlan, Result<RunStats, SimError>, Vec<Option<ChurnVerdict>>) {
+    let p = cfg.threads.min(topo.num_cores()).max(2);
+    let plan = ChurnPlan::scenario(scenario, seed, p, episodes);
+    let mut arena = Arena::new();
+    let inner = build(&mut arena, p, plan.initial_members(), topo);
+    let aux = arena.alloc_padded_u32(topo.cacheline_bytes());
+    let robust = Arc::new(RobustPhaser::new(
+        &mut arena,
+        topo.cacheline_bytes(),
+        inner,
+        RobustConfig { max_polls: Some(cfg.max_polls), ..RobustConfig::default() },
+    ));
+    let verdicts = Arc::new(Mutex::new(vec![None; p]));
+    let result = SimBuilder::new(Arc::clone(topo), p)
+        .seed(seed)
+        .op_budget(cfg.op_budget)
+        .reserve_for(&arena)
+        .schedule_policy(policy)
+        .run({
+            let robust = Arc::clone(&robust);
+            let verdicts = Arc::clone(&verdicts);
+            let plan = plan.clone();
+            move |sim| {
+                let v = churn_thread(&robust, sim, &plan, aux, episodes);
+                verdicts.lock().unwrap()[sim.tid()] = Some(v);
+            }
+        });
+    let verdicts = verdicts.lock().unwrap().clone();
+    (plan, result, verdicts)
 }
 
 /// Script-level oracle: every thread must end the way its script says —

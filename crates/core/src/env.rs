@@ -65,6 +65,19 @@ pub trait MemCtx {
     fn spin_until_eq(&self, addr: Addr, value: u32) -> u32;
     /// Spins until the word at `addr` is ≥ `value` (monotonic epochs).
     fn spin_until_ge(&self, addr: Addr, value: u32) -> u32;
+    /// Loads `addr` up to `loads` times (at least once), stopping at the
+    /// first value equal to `value`; returns that value, or the last one
+    /// loaded. The building block of bounded waits that must count their
+    /// failed polls. The default is the plain [`MemCtx::load`] loop; a
+    /// backend may issue the loads itself, as long as each is the same
+    /// acquire load the loop would issue.
+    fn poll_until_eq(&self, addr: Addr, value: u32, loads: u32) -> u32 {
+        load_loop(self, addr, loads, |v| v == value)
+    }
+    /// [`MemCtx::poll_until_eq`] for the condition "≥ `value`".
+    fn poll_until_ge(&self, addr: Addr, value: u32, loads: u32) -> u32 {
+        load_loop(self, addr, loads, |v| v >= value)
+    }
     /// Spins until *every* word in `addrs` is ≥ `value`. Implementations
     /// poll all flags in one loop, so independent line fetches overlap
     /// (memory-level parallelism) instead of waiting for each flag in turn
@@ -78,6 +91,24 @@ pub trait MemCtx {
     /// stores `(tid, label, virtual time)` tuples in its run statistics.
     /// Algorithms use the `MARK_*` labels to expose their phase structure.
     fn mark(&self, _label: u32) {}
+}
+
+/// The default `poll_until_*` body: up to `loads` (at least one) loads of
+/// `addr`, stopping at the first value `accepts` takes.
+fn load_loop<C: MemCtx + ?Sized>(
+    ctx: &C,
+    addr: Addr,
+    loads: u32,
+    accepts: impl Fn(u32) -> bool,
+) -> u32 {
+    let mut v = ctx.load(addr);
+    for _ in 1..loads {
+        if accepts(v) {
+            break;
+        }
+        v = ctx.load(addr);
+    }
+    v
 }
 
 /// Mark label: a thread entered the barrier (start of the Arrival-Phase).
@@ -171,6 +202,12 @@ impl MemCtx for armbar_simcoh::SimThread {
     }
     fn spin_until_ge(&self, addr: Addr, value: u32) -> u32 {
         SimThread::spin_until_ge(self, addr, value)
+    }
+    fn poll_until_eq(&self, addr: Addr, value: u32, loads: u32) -> u32 {
+        SimThread::poll_until_eq(self, addr, value, loads)
+    }
+    fn poll_until_ge(&self, addr: Addr, value: u32, loads: u32) -> u32 {
+        SimThread::poll_until_ge(self, addr, value, loads)
     }
     fn spin_until_all_ge(&self, addrs: &[Addr], value: u32) {
         SimThread::spin_until_all_ge(self, addrs, value)

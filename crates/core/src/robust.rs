@@ -89,7 +89,9 @@ pub struct RobustConfig {
     /// wall-clock deadlines vacuous: poll counts are a pure function of
     /// the schedule, so the same seed detects the same stall at the same
     /// point on every run and transport. When set, the waiter skips the
-    /// yield/backoff pauses (pointless against virtual time).
+    /// yield/backoff pauses (pointless against virtual time) and hands the
+    /// failed polls between two checks to [`MemCtx::poll_until_eq`] /
+    /// [`MemCtx::poll_until_ge`] as one batch.
     pub max_polls: Option<u64>,
 }
 
@@ -544,8 +546,13 @@ impl RobustPhaser {
 const CHECK_EVERY: u64 = 64;
 
 /// A [`MemCtx`] view that re-implements the spin waits as bounded polling
-/// loops over `load`, escaping by unwinding with a [`WaitAbort`] when the
-/// deadline passes or the poison word is set. Everything else forwards.
+/// loops, escaping by unwinding with a [`WaitAbort`] when the deadline
+/// passes or the poison word is set. Everything else forwards.
+///
+/// On the host (no `max_polls`) every poll is one `load` followed by a
+/// pause. Under `max_polls` the single-word waits hand each run of failed
+/// polls between two checks to the inner context's `poll_until_*`, which
+/// the simulator executes without resuming the thread per poll.
 struct BoundedCtx<'a> {
     inner: &'a dyn MemCtx,
     poison: Addr,
@@ -585,12 +592,35 @@ impl BoundedCtx<'_> {
         }
     }
 
-    fn poll(&self, addr: Addr, pred: impl Fn(u32) -> bool) -> u32 {
+    /// Polls `addr` until it is equal to (`ge == false`) or at least
+    /// (`ge == true`) `value`, checking after every failed poll.
+    ///
+    /// Under a poll-count deadline the failed polls between two check
+    /// indices — poll 0, each multiple of [`CHECK_EVERY`], and `max_polls`
+    /// — are bare reloads with no pause and no check, so they go to the
+    /// backend as one [`MemCtx::poll_until_eq`]/[`MemCtx::poll_until_ge`]
+    /// batch ending at the next check index. The poison load, the
+    /// wall-clock deadline and the timeout fire at the same poll indices
+    /// as with one load per poll.
+    fn poll(&self, addr: Addr, value: u32, ge: bool) -> u32 {
+        let accepts = |v: u32| if ge { v >= value } else { v == value };
         let mut wait = self.policy.waiter();
         let mut polls: u64 = 0;
         loop {
-            let v = self.inner.load(addr);
-            if pred(v) {
+            let v = match self.max_polls {
+                None => self.inner.load(addr),
+                Some(mp) => {
+                    let last = polls.next_multiple_of(CHECK_EVERY).min(mp.max(polls));
+                    let loads = (last - polls + 1) as u32;
+                    polls = last;
+                    if ge {
+                        self.inner.poll_until_ge(addr, value, loads)
+                    } else {
+                        self.inner.poll_until_eq(addr, value, loads)
+                    }
+                }
+            };
+            if accepts(v) {
                 return v;
             }
             self.check(addr, polls);
@@ -632,10 +662,10 @@ impl MemCtx for BoundedCtx<'_> {
         self.inner.swap(addr, new)
     }
     fn spin_until_eq(&self, addr: Addr, value: u32) -> u32 {
-        self.poll(addr, |v| v == value)
+        self.poll(addr, value, false)
     }
     fn spin_until_ge(&self, addr: Addr, value: u32) -> u32 {
-        self.poll(addr, |v| v >= value)
+        self.poll(addr, value, true)
     }
     fn spin_until_all_ge(&self, addrs: &[Addr], value: u32) {
         let mut wait = self.policy.waiter();
@@ -1009,5 +1039,78 @@ mod tests {
                 "t{tid}: expected Timeout/Poisoned, got {res:?}"
             );
         }
+    }
+
+    /// Records every `load` it forwards; keeps the default `poll_until_*`
+    /// loops, so batched polls show up load by load.
+    struct LoadLog<'a> {
+        inner: &'a dyn MemCtx,
+        loads: std::cell::RefCell<Vec<Addr>>,
+    }
+
+    impl MemCtx for LoadLog<'_> {
+        fn tid(&self) -> usize {
+            self.inner.tid()
+        }
+        fn nthreads(&self) -> usize {
+            self.inner.nthreads()
+        }
+        fn load(&self, addr: Addr) -> u32 {
+            self.loads.borrow_mut().push(addr);
+            self.inner.load(addr)
+        }
+        fn store(&self, addr: Addr, value: u32) {
+            self.inner.store(addr, value)
+        }
+        fn fetch_add(&self, addr: Addr, delta: u32) -> u32 {
+            self.inner.fetch_add(addr, delta)
+        }
+        fn compare_exchange(&self, addr: Addr, current: u32, new: u32) -> u32 {
+            self.inner.compare_exchange(addr, current, new)
+        }
+        fn swap(&self, addr: Addr, new: u32) -> u32 {
+            self.inner.swap(addr, new)
+        }
+        fn spin_until_eq(&self, addr: Addr, value: u32) -> u32 {
+            self.inner.spin_until_eq(addr, value)
+        }
+        fn spin_until_ge(&self, addr: Addr, value: u32) -> u32 {
+            self.inner.spin_until_ge(addr, value)
+        }
+        fn spin_until_all_ge(&self, addrs: &[Addr], value: u32) {
+            self.inner.spin_until_all_ge(addrs, value)
+        }
+        fn compute_ns(&self, ns: f64) {
+            self.inner.compute_ns(ns)
+        }
+    }
+
+    #[test]
+    fn batched_polls_keep_the_check_indices() {
+        // A lone waiter on a flag nobody sets, with a poll deadline that
+        // is not a multiple of the check stride: the poison word is read
+        // after polls 0, 64 and 128, and the timeout fires after poll 150
+        // — exactly the one-load-per-poll sequence.
+        let mut arena = Arena::new();
+        let flag = arena.alloc_padded_u32(64);
+        let inner = Box::new(LostWakeup { counter: arena.alloc_padded_u32(64), wake: flag });
+        let config = RobustConfig { max_polls: Some(150), ..RobustConfig::default() };
+        let robust = RobustBarrier::new(&mut arena, 64, inner, config);
+        let mem = HostMem::new(&arena);
+        let host = mem.ctx(0, 2); // a peer that never arrives
+        let log = LoadLog { inner: &host, loads: Default::default() };
+        let err = robust.wait(&log).unwrap_err();
+        assert_eq!(err, BarrierError::Timeout { tid: 0, addr: flag, spins: 150 });
+        let loads = log.loads.into_inner();
+        // The entry poison check, then the bounded wait.
+        assert_eq!(loads[0], robust.poison);
+        let mut want = Vec::new();
+        for (polls, check) in [(1, true), (64, true), (64, true), (22, false)] {
+            want.extend(std::iter::repeat_n(flag, polls));
+            if check {
+                want.push(robust.poison);
+            }
+        }
+        assert_eq!(loads[1..1 + want.len()], want[..]);
     }
 }

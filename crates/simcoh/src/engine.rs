@@ -125,10 +125,18 @@ impl WaitCond {
     /// Whether the condition holds, given the word values.
     fn holds(&self, values: &[u32], addr: Addr) -> bool {
         match self {
-            WaitCond::Eq(v) => read_word(values, addr) == *v,
-            WaitCond::Ge(v) => read_word(values, addr) >= *v,
-            WaitCond::Pred(p) => p(read_word(values, addr)),
             WaitCond::AllGe(addrs, e) => addrs.iter().all(|&a| read_word(values, a) >= *e),
+            _ => self.accepts(read_word(values, addr)),
+        }
+    }
+
+    /// Whether a single-word condition accepts the value `v`.
+    fn accepts(&self, v: u32) -> bool {
+        match self {
+            WaitCond::Eq(t) => v == *t,
+            WaitCond::Ge(t) => v >= *t,
+            WaitCond::Pred(p) => p(v),
+            WaitCond::AllGe(..) => unreachable!("all-≥ waits watch several words"),
         }
     }
 }
@@ -162,6 +170,13 @@ enum OpReq {
     /// Atomic exchange `(addr, new)`: stores `new` unconditionally and
     /// replies with the previous value (ARMv8.1 `SWP`).
     Swap(Addr, u32),
+    /// Bounded poll `(addr, cond, loads)`: up to `loads` acquire loads of
+    /// `addr` (`cond` is `Eq` or `Ge`), each its own scheduling event
+    /// exactly like a posted [`OpReq::Load`]. After a load that fails
+    /// `cond` with loads left, the engine posts the rest of the poll at the
+    /// thread's clock instead of replying; the reply carries the first
+    /// accepted value or the last value loaded.
+    Poll(Addr, WaitCond, u32),
 }
 
 enum Reply {
@@ -175,7 +190,7 @@ enum Reply {
 /// no values or predicates leak to the policy).
 fn describe_op(op: &OpReq) -> (ReadyOpKind, Option<Addr>) {
     match op {
-        OpReq::Load(a, _) => (ReadyOpKind::Read, Some(*a)),
+        OpReq::Load(a, _) | OpReq::Poll(a, ..) => (ReadyOpKind::Read, Some(*a)),
         OpReq::Store(a, _, _) => (ReadyOpKind::Write, Some(*a)),
         OpReq::FetchAdd(a, _) => (ReadyOpKind::Rmw, Some(*a)),
         OpReq::CmpXchg(a, _, _) => (ReadyOpKind::Rmw, Some(*a)),
@@ -189,7 +204,8 @@ fn describe_op(op: &OpReq) -> (ReadyOpKind, Option<Addr>) {
 /// Small distinct tag per op class for the schedule fingerprint.
 fn op_tag(op: &OpReq) -> u64 {
     match op {
-        OpReq::Load(..) => 1,
+        // Each load of a poll fingerprints as the plain load it replaces.
+        OpReq::Load(..) | OpReq::Poll(..) => 1,
         OpReq::Store(..) => 2,
         OpReq::FetchAdd(..) => 3,
         OpReq::SpinUntil(..) => 4,
@@ -676,7 +692,7 @@ impl WaiterTable {
     }
 }
 
-/// Busy-line stall cohorts (default mode only; DESIGN.md §11).
+/// Busy-line stall cohorts (heap mode only; DESIGN.md §11).
 ///
 /// A single-line op that finds its line busy is re-stamped to the line's
 /// `available_at` and joins the cohort of ops waiting for that instant.
@@ -823,15 +839,17 @@ struct State {
     /// installed [`SchedulePolicy`] picks among them.
     ready_list: Vec<SchedKey>,
     /// Per-run schedule policy; `None` = default heap order. Taken out of
-    /// the state for the duration of a policy engine pass, so routing must
-    /// consult `policy_mode`, not this option.
+    /// the state for the duration of a policy engine pass, and kept but no
+    /// longer consulted after the settled handoff, so routing must consult
+    /// `policy_mode`, not this option.
     policy: Option<Box<dyn SchedulePolicy>>,
-    /// Whether this run was configured with a policy (stable across the
-    /// take/restore in `run_engine_policy`).
+    /// Whether the policy still drives this run: set when it was configured
+    /// with one, stable across the take/restore in `run_engine_policy`, and
+    /// cleared for good by the settled handoff.
     policy_mode: bool,
     /// Blocked spin-waiters, indexed by watched line and condition.
     waiters: WaiterTable,
-    /// Busy-line stall cohorts (default mode only).
+    /// Busy-line stall cohorts (heap mode only).
     cohorts: Cohorts,
     time: Vec<f64>,
     /// Dense per-line directory, indexed `addr >> line_shift`.
@@ -859,12 +877,14 @@ struct State {
     panic_waiters: Vec<DeadlockWaiter>,
     aborted: bool,
     outcome: Option<Result<(), SimError>>,
-    /// Bounded ARMv8-style weak-memory state. `Some` only in policy mode —
-    /// the default heap engine never buffers or stales, so default runs are
-    /// byte-identical to the pre-weak engine. With a policy installed but a
-    /// zero reordering budget every decision resolves to
-    /// [`WeakDecision::Strong`] and the buffers stay empty, reproducing
-    /// sequentially consistent execution exactly.
+    /// Bounded ARMv8-style weak-memory state. `Some` only in runs
+    /// configured with a policy — the default heap engine never buffers or
+    /// stales, so default runs are byte-identical to the pre-weak engine.
+    /// With a policy installed but a zero reordering budget every decision
+    /// resolves to [`WeakDecision::Strong`] and the buffers stay empty,
+    /// reproducing sequentially consistent execution exactly. It outlives
+    /// the settled handoff with empty buffers (heap dispatch keeps every
+    /// relaxed op strong), still tracking each thread's observed values.
     weak: Option<WeakMem>,
 }
 
@@ -878,15 +898,44 @@ struct WeakMem {
     /// A relaxed load may (policy permitting) be satisfied from here,
     /// modeling a read that completes before an invalidation arrives.
     /// Cleared by acquire loads, RMWs, fences, and spin entries.
-    last_seen: Vec<std::collections::HashMap<Addr, u32>>,
+    last_seen: Vec<std::collections::HashMap<Addr, u32, AddrHash>>,
+}
+
+/// Hasher for the stale-value caches, which every load and write of a weak
+/// run updates: one multiply per word address instead of SipHash. Nothing
+/// iterates the caches, so the hash function cannot reach any result.
+type AddrHash = std::hash::BuildHasherDefault<AddrHasher>;
+
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl std::hash::Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 << 8 | u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.0 = u64::from(v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 impl WeakMem {
     fn new(nthreads: usize) -> Self {
         Self {
             buffers: (0..nthreads).map(|_| std::collections::VecDeque::new()).collect(),
-            last_seen: (0..nthreads).map(|_| std::collections::HashMap::new()).collect(),
+            last_seen: (0..nthreads).map(|_| Default::default()).collect(),
         }
+    }
+
+    /// Whether no thread holds a deferred store.
+    fn drained(&self) -> bool {
+        self.buffers.iter().all(|b| b.is_empty())
     }
 
     /// Youngest buffered value this thread holds for `addr`, if any —
@@ -1186,6 +1235,24 @@ impl SimThread {
         self.call_value(OpReq::SpinUntil(addr, WaitCond::Ge(value)))
     }
 
+    /// Loads `addr` (acquire) up to `loads` times, stopping at the first
+    /// value equal to `value`; returns that value, or the last one loaded.
+    ///
+    /// Costs, fingerprint and op budget are exactly those of `loads`
+    /// separate [`SimThread::load`] calls issued back to back, but the
+    /// engine issues the reloads itself: a failed load costs no fiber
+    /// round trip.
+    pub fn poll_until_eq(&self, addr: Addr, value: u32, loads: u32) -> u32 {
+        assert!(loads > 0, "a poll issues at least one load");
+        self.call_value(OpReq::Poll(addr, WaitCond::Eq(value), loads))
+    }
+
+    /// [`SimThread::poll_until_eq`] for the condition "≥ `value`".
+    pub fn poll_until_ge(&self, addr: Addr, value: u32, loads: u32) -> u32 {
+        assert!(loads > 0, "a poll issues at least one load");
+        self.call_value(OpReq::Poll(addr, WaitCond::Ge(value), loads))
+    }
+
     /// Spins until every word in `addrs` is ≥ `value`. A polling loop over
     /// independent flags keeps several line fetches in flight at once
     /// (memory-level parallelism), so on satisfaction the thread pays the
@@ -1470,8 +1537,7 @@ impl Shared {
     /// the terminal checks. Called with the state lock held, from whichever
     /// thread last changed the schedule.
     fn run_engine(&self, g: &mut State) {
-        if g.policy_mode {
-            self.run_engine_policy(g);
+        if g.policy_mode && !self.run_engine_policy(g) {
             return;
         }
         g.sched.begin_pass();
@@ -1592,7 +1658,21 @@ impl Shared {
     /// indices the policy sees canonical. This lock-step discipline still
     /// reaches every sequentially consistent interleaving: at each step any
     /// posted op may be chosen.
-    fn run_engine_policy(&self, g: &mut State) {
+    ///
+    /// Settled handoff: at a settlement point where the policy reports
+    /// [`SchedulePolicy::settled`] and no store buffer holds a deferred
+    /// store, the pass moves the ready set into the heap scheduler and
+    /// leaves policy mode for the rest of the run, returning `true` so the
+    /// caller continues on the heap path. The two paths then agree op for
+    /// op: a settled policy picks the oldest ready op at every settlement
+    /// point — the op the heap would process next — and keeps every
+    /// relaxed op strong, which the heap path's dispatch does too. The
+    /// weak-memory state stays: its buffers are empty and nothing defers a
+    /// store again, so there is nothing to forward or drain, and its
+    /// stale-value caches go on recording what each thread last observed —
+    /// the view a deadlock report prints. Returns `false` after the
+    /// terminal checks otherwise.
+    fn run_engine_policy(&self, g: &mut State) -> bool {
         let mut policy = g.policy.take().expect("policy mode without a policy");
         'pass: loop {
             while g.outcome.is_none()
@@ -1600,6 +1680,14 @@ impl Shared {
                 && !g.ready_list.is_empty()
                 && g.sched.running_is_empty()
             {
+                if policy.settled() && g.weak.as_ref().is_none_or(WeakMem::drained) {
+                    for key in std::mem::take(&mut g.ready_list) {
+                        g.sched.push_ready(key);
+                    }
+                    g.policy_mode = false;
+                    g.policy = Some(policy);
+                    return true;
+                }
                 g.ready_list.sort_unstable();
                 let ready: Vec<ReadyOp> = g
                     .ready_list
@@ -1668,6 +1756,7 @@ impl Shared {
         debug_assert!(g.policy.is_none(), "policy restored twice");
         g.policy = Some(policy);
         self.terminal_check(g);
+        false
     }
 
     /// Counts one scheduling action against the op budget; on exhaustion
@@ -1957,6 +2046,18 @@ impl Shared {
                 self.weak_flush(g, tid);
                 Some(op)
             }
+            OpReq::Poll(addr, ..) => {
+                // Every load of a poll is an acquire load.
+                let addr = *addr;
+                let w = g.weak.as_mut().unwrap();
+                w.last_seen[tid].clear();
+                let Some(v) = w.forwarded(tid, addr) else { return Some(op) };
+                g.time[tid] += eps;
+                g.stats.record_read(tid, self.line_key(addr), true, false);
+                let OpReq::Poll(_, cond, loads) = op else { unreachable!() };
+                self.poll_next(g, tid, addr, cond, loads, v);
+                None
+            }
             OpReq::Load(addr, order) => {
                 let addr = *addr;
                 if *order == LoadOrder::Acquire {
@@ -2031,6 +2132,7 @@ impl Shared {
         // cost that dominates SENSE on many-cores would vanish.
         let (busy_until, line) = match &op {
             OpReq::Load(a, _)
+            | OpReq::Poll(a, ..)
             | OpReq::Store(a, _, _)
             | OpReq::FetchAdd(a, _)
             | OpReq::CmpXchg(a, _, _)
@@ -2061,6 +2163,14 @@ impl Shared {
                     w.last_seen[tid].insert(addr, v);
                 }
                 self.reply(g, tid, Reply::Value(v));
+            }
+            OpReq::Poll(addr, cond, loads) => {
+                let v = self.value(g, addr);
+                self.do_read(g, tid, addr);
+                if let Some(w) = g.weak.as_mut() {
+                    w.last_seen[tid].insert(addr, v);
+                }
+                self.poll_next(g, tid, addr, cond, loads, v);
             }
             OpReq::Store(addr, v, _) => {
                 self.do_write(g, tid, addr, v, None);
@@ -2136,6 +2246,20 @@ impl Shared {
                 g.time[tid] += self.topo.epsilon_ns();
                 self.reply(g, tid, Reply::Value(0));
             }
+        }
+    }
+
+    /// Ends one load of a poll that read `v`: replies when `v` satisfies
+    /// `cond` or no load is left, and otherwise posts the rest of the poll
+    /// at the thread's clock — the key the thread itself would post its
+    /// next load at, since between two loads of a poll it runs no code
+    /// that takes virtual time.
+    fn poll_next(&self, g: &mut State, tid: usize, addr: Addr, cond: WaitCond, loads: u32, v: u32) {
+        if loads <= 1 || cond.accepts(v) {
+            self.reply(g, tid, Reply::Value(v));
+        } else {
+            g.slots[tid].pending = Some(OpReq::Poll(addr, cond, loads - 1));
+            g.post_ready((TimeKey(g.time[tid]), tid));
         }
     }
 

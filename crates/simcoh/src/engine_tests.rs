@@ -737,3 +737,118 @@ fn default_schedule_hash_is_stable_and_seed_independent_ops() {
     assert_eq!(run(1).schedule_hash(), run(2).schedule_hash());
     assert_ne!(run(1).schedule_hash(), 0, "hash must record the processed ops");
 }
+
+/// Takes the first weak decision on offer, then settles: oldest-first
+/// picks and strong decisions from then on. Counts the picks it is asked
+/// for after settling.
+struct WeakOncePolicy {
+    spent: bool,
+    picks_after: Arc<std::sync::atomic::AtomicU32>,
+}
+
+impl SchedulePolicy for WeakOncePolicy {
+    fn pick(&mut self, ready: &[ReadyOp], _min: Option<(f64, usize)>) -> ScheduleDecision {
+        if self.spent {
+            self.picks_after.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        ScheduleDecision::Run(crate::schedule::oldest_index(ready))
+    }
+
+    fn weak(&mut self, _op: &crate::schedule::WeakOp) -> crate::schedule::WeakDecision {
+        if self.spent {
+            crate::schedule::WeakDecision::Strong
+        } else {
+            self.spent = true;
+            crate::schedule::WeakDecision::Weak
+        }
+    }
+
+    fn settled(&self) -> bool {
+        self.spent
+    }
+}
+
+#[test]
+fn settled_policy_stays_in_charge_until_store_buffers_drain() {
+    let mut arena = Arena::new();
+    let a = arena.alloc_padded_u32(64);
+    let b = arena.alloc_padded_u32(64);
+    let picks_after = Arc::new(std::sync::atomic::AtomicU32::new(0));
+    SimBuilder::new(topo(), 1)
+        .schedule_policy(WeakOncePolicy { spent: false, picks_after: Arc::clone(&picks_after) })
+        .run(move |ctx| {
+            ctx.store_relaxed(a, 1); // the one weak decision: buffered
+            for _ in 0..3 {
+                ctx.load(b); // settled, but the buffer holds a store
+            }
+            ctx.fence(); // drains the buffer
+            for _ in 0..3 {
+                ctx.load(b); // settled and drained: heap scheduler
+            }
+            assert_eq!(ctx.load(a), 1);
+        })
+        .unwrap();
+    // Three loads and the fence are picked while the store is buffered.
+    assert_eq!(picks_after.load(std::sync::atomic::Ordering::Relaxed), 4);
+}
+
+#[test]
+fn engine_poll_matches_a_load_loop() {
+    // Two pollers: one satisfied in the middle of its poll, one that runs
+    // out of loads and gets the last value back.
+    let body = |engine: bool| {
+        move |ctx: &SimThread, flag: Addr| -> u32 {
+            let poll = |value: u32, ge: bool, loads: u32| {
+                if engine {
+                    if ge {
+                        ctx.poll_until_ge(flag, value, loads)
+                    } else {
+                        ctx.poll_until_eq(flag, value, loads)
+                    }
+                } else {
+                    let mut v = ctx.load(flag);
+                    for _ in 1..loads {
+                        if (ge && v >= value) || (!ge && v == value) {
+                            break;
+                        }
+                        v = ctx.load(flag);
+                    }
+                    v
+                }
+            };
+            match ctx.tid() {
+                0 => {
+                    ctx.compute_ns(300.0);
+                    ctx.store(flag, 1);
+                    0
+                }
+                1 => poll(1, false, 1_000),
+                _ => poll(5, true, 1_000),
+            }
+        }
+    };
+    let run = |engine: bool, policy: bool| {
+        let mut arena = Arena::new();
+        let flag = arena.alloc_padded_u32(64);
+        let seen = Arc::new(std::sync::Mutex::new(vec![0; 3]));
+        let b = SimBuilder::new(jittery8(), 3).seed(9);
+        let b = if policy { b.schedule_policy(MinTimePolicy) } else { b };
+        let out = Arc::clone(&seen);
+        let stats = b
+            .run(move |ctx| {
+                let v = body(engine)(ctx, flag);
+                out.lock().unwrap()[ctx.tid()] = v;
+            })
+            .unwrap();
+        let seen = seen.lock().unwrap().clone();
+        (stats, seen)
+    };
+    for policy in [false, true] {
+        let (engine, seen) = run(true, policy);
+        let (looped, seen_looped) = run(false, policy);
+        assert_same_run(&engine, &looped, if policy { "policy" } else { "heap" });
+        assert_eq!(seen, seen_looped);
+        assert_eq!(seen[1..], [1, 1], "satisfied mid-poll, then out of loads on the last value");
+        assert_eq!(engine.ops(OpKind::SpinWakeup), 0, "polls never register as waiters");
+    }
+}

@@ -146,6 +146,10 @@ pub enum ScheduleDecision {
 /// non-finite/negative delays fall back to the oldest ready op, and `Wait`
 /// with an empty running set is overridden — a policy can therefore bias
 /// the search but never wedge or crash the engine.
+///
+/// A policy is consulted until it reports [`SchedulePolicy::settled`] at a
+/// settlement point where no store buffer holds a deferred store; the rest
+/// of the run then executes on the heap scheduler without it.
 pub trait SchedulePolicy: Send {
     /// Picks the next action given every ready operation, sorted by
     /// `(time_ns, tid)`. `ready` is non-empty.
@@ -169,6 +173,19 @@ pub trait SchedulePolicy: Send {
     fn weak(&mut self, _op: &WeakOp) -> WeakDecision {
         WeakDecision::Strong
     }
+
+    /// Whether the policy has settled: from now on `pick` would return
+    /// `Run(oldest_index(ready))` and `weak` would return
+    /// [`WeakDecision::Strong`], and neither would consume any state.
+    ///
+    /// The engine checks this at settlement points. Once it holds and
+    /// every store buffer is empty, the run leaves policy mode for the
+    /// default heap scheduler and the policy is not consulted again — the
+    /// remaining execution is exactly what the policy would have produced.
+    /// The default never settles.
+    fn settled(&self) -> bool {
+        false
+    }
 }
 
 /// Index of the oldest ready op — minimum `(time, tid)` key, matching the
@@ -188,7 +205,8 @@ pub fn oldest_index(ready: &[ReadyOp]) -> usize {
 /// ready op exactly when the default scheduler would (its key not after the
 /// earliest running thread's key), otherwise wait. Exists to prove the
 /// policy-mode engine path is semantically identical to the default path —
-/// see the `policy_mode_matches_default` tests.
+/// see the `policy_mode_matches_default` tests. It never settles, so a
+/// run under it stays in policy mode to the end.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinTimePolicy;
 
