@@ -3,9 +3,9 @@
 //! Measures engine throughput (operations per wall-second through the
 //! rendezvous scheduler) for a SENSE and a STOUR barrier microbench at
 //! P ∈ {16, 64} on the paper's 64-core Phytium preset and at
-//! P ∈ {256, 1024} on the hierarchical MemPool presets (exercising the
-//! sharded scheduler), plus the wall-clock of a quick-scale regeneration of
-//! every experiment suite, and writes the numbers as JSON to the repo root.
+//! P ∈ {256, 1024} on the hierarchical MemPool presets, plus the wall-clock
+//! of a quick-scale regeneration of every experiment suite, and writes the
+//! numbers as JSON to the repo root (through `armbar_sweep::bench_json`).
 //!
 //! ```text
 //! bench_sim [--out PATH] [--skip-experiments] [--gate-drop-pct N] [--summary PATH]
@@ -33,13 +33,13 @@ use armbar_core::env::Barrier;
 use armbar_core::registry::AlgorithmId;
 use armbar_experiments::{figs, Scale};
 use armbar_simcoh::{Arena, OpKind, SimBuilder};
+use armbar_sweep::bench_json::{
+    append_summary, deltas, first_number, print_deltas, render_doc, summary_markdown, Point,
+};
 use armbar_topology::{Platform, Topology};
 
-/// One measured point: engine operations per wall-clock second.
-struct EnginePoint {
-    key: String,
-    ops_per_sec: f64,
-}
+/// The wall-clock key: reported with two decimals, never gated.
+const QUICK_KEY: &str = "all_experiments_quick_secs";
 
 /// Measurement effort for one engine point. The paper-scale points (P ≤ 64)
 /// keep the historical 30×12×6 schedule so the trajectory stays comparable
@@ -71,7 +71,8 @@ impl Effort {
     }
 }
 
-fn engine_point(platform: Platform, p: usize, id: AlgorithmId) -> EnginePoint {
+/// One measured point: engine operations per wall-clock second.
+fn engine_point(platform: Platform, p: usize, id: AlgorithmId) -> Point {
     let topo = Arc::new(Topology::preset(platform));
     let effort = Effort::for_threads(p);
     let episodes = effort.episodes;
@@ -100,7 +101,10 @@ fn engine_point(platform: Platform, p: usize, id: AlgorithmId) -> EnginePoint {
         let secs = t0.elapsed().as_secs_f64();
         best = best.max(total_ops as f64 / secs);
     }
-    EnginePoint { key: format!("{}_p{}", id.label().to_ascii_lowercase(), p), ops_per_sec: best }
+    let key = format!("engine_ops_per_sec_{}_p{}", id.label().to_ascii_lowercase(), p);
+    let pt = Point::new(&key, best);
+    eprintln!("engine {:>34}: {:>12.0} ops/s", pt.key, pt.value);
+    pt
 }
 
 /// Wall-clock seconds of a quick-scale regeneration of every suite
@@ -129,78 +133,6 @@ fn quick_experiments_secs() -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
-/// Minimal flat-JSON number extraction: finds `"key": <number>` anywhere in
-/// the document (keys are unique across sections by construction, except
-/// that `benches` precedes `baseline` — the first hit is the current run).
-fn first_number(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json[at..].trim_start();
-    let end = rest.find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))?;
-    rest[..end].parse().ok()
-}
-
-/// Extracts the committed `baseline` section verbatim, if present.
-fn baseline_section(json: &str) -> Option<String> {
-    let at = json.find("\"baseline\": {")?;
-    let open = at + "\"baseline\": ".len();
-    let mut depth = 0usize;
-    for (i, c) in json[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(json[open..=open + i].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Builds the carried-forward `baseline` section. Each key of the fresh run
-/// takes its value from the committed baseline when present there; a key
-/// that is new in this run (e.g. a freshly added engine point) is seeded
-/// with the fresh measurement so future deltas have a reference. (The old
-/// behavior copied the committed baseline verbatim, so a key added to
-/// `benches` never entered `baseline` at all.)
-fn carry_baseline(points: &[EnginePoint], quick_secs: Option<f64>, old: Option<&str>) -> String {
-    let carried: Vec<EnginePoint> = points
-        .iter()
-        .map(|p| {
-            let key = format!("engine_ops_per_sec_{}", p.key);
-            let ops = old.and_then(|o| first_number(o, &key)).unwrap_or(p.ops_per_sec);
-            EnginePoint { key: p.key.clone(), ops_per_sec: ops }
-        })
-        .collect();
-    let old_quick = old.and_then(|o| first_number(o, "all_experiments_quick_secs"));
-    let quick = match quick_secs {
-        Some(q) => Some(old_quick.unwrap_or(q)),
-        None => old_quick,
-    };
-    render_section(&carried, quick)
-}
-
-fn render_section(points: &[EnginePoint], quick_secs: Option<f64>) -> String {
-    let mut s = String::from("{\n");
-    for p in points {
-        s.push_str(&format!("    \"engine_ops_per_sec_{}\": {:.0},\n", p.key, p.ops_per_sec));
-    }
-    match quick_secs {
-        Some(q) => s.push_str(&format!("    \"all_experiments_quick_secs\": {q:.2}\n")),
-        None => {
-            // Trim the trailing comma of the last engine point.
-            let t = s.trim_end_matches(",\n").len();
-            s.truncate(t);
-            s.push('\n');
-        }
-    }
-    s.push_str("  }");
-    s
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag_value =
@@ -218,16 +150,12 @@ fn main() {
     let mut points = Vec::new();
     for id in [AlgorithmId::Sense, AlgorithmId::Stour] {
         for p in [16usize, 64] {
-            let pt = engine_point(Platform::Phytium2000Plus, p, id);
-            eprintln!("engine {:>14}: {:>12.0} ops/s", pt.key, pt.ops_per_sec);
-            points.push(pt);
+            points.push(engine_point(Platform::Phytium2000Plus, p, id));
         }
         // Kilocore points: the hierarchical MemPool presets at their full
-        // core counts, exercising the sharded scheduler end to end.
+        // core counts, where the scheduler heap and waiter table are largest.
         for (platform, p) in [(Platform::MemPool256, 256usize), (Platform::MemPool1024, 1024)] {
-            let pt = engine_point(platform, p, id);
-            eprintln!("engine {:>14}: {:>12.0} ops/s", pt.key, pt.ops_per_sec);
-            points.push(pt);
+            points.push(engine_point(platform, p, id));
         }
     }
     // Contender points: the lock-guarded counters are the engine's worst
@@ -235,9 +163,7 @@ fn main() {
     // their throughput is tracked at paper scale only.
     for id in [AlgorithmId::ShyCtr, AlgorithmId::ShyProxy] {
         for p in [16usize, 64] {
-            let pt = engine_point(Platform::Phytium2000Plus, p, id);
-            eprintln!("engine {:>14}: {:>12.0} ops/s", pt.key, pt.ops_per_sec);
-            points.push(pt);
+            points.push(engine_point(Platform::Phytium2000Plus, p, id));
         }
     }
     let quick_secs = if skip_experiments {
@@ -251,66 +177,32 @@ fn main() {
     // Delta of this run against the committed `benches` section: engine
     // keys are gateable, the wall-clock key is informational only.
     let previous = std::fs::read_to_string(&out).ok();
-    let mut deltas: Vec<(String, f64, f64)> = Vec::new(); // (key, old, new)
-    if let Some(prev) = &previous {
-        eprintln!("-- delta vs committed {out} --");
-        for p in &points {
-            let key = format!("engine_ops_per_sec_{}", p.key);
-            if let Some(old) = first_number(prev, &key) {
-                eprintln!(
-                    "{:>28}: {:+.1}% ({:.0} -> {:.0})",
-                    p.key,
-                    (p.ops_per_sec / old - 1.0) * 100.0,
-                    old,
-                    p.ops_per_sec
-                );
-                deltas.push((key, old, p.ops_per_sec));
-            }
-        }
-        if let (Some(q), Some(old)) = (quick_secs, first_number(prev, "all_experiments_quick_secs"))
-        {
-            eprintln!(
-                "{:>28}: {:+.1}% ({:.2} s -> {:.2} s)",
-                "quick experiments",
-                (q / old - 1.0) * 100.0,
-                old,
-                q
-            );
-        }
+    let rows = previous.as_deref().map(|p| deltas(&points, p)).unwrap_or_default();
+    print_deltas(&out, &rows);
+    if let (Some(q), Some(old)) =
+        (quick_secs, previous.as_deref().and_then(|p| first_number(p, QUICK_KEY)))
+    {
+        eprintln!("{QUICK_KEY:>40}: {:+.1}% ({old:.2} s -> {q:.2} s)", (q / old - 1.0) * 100.0);
     }
-
     if let Some(path) = &summary_path {
-        let mut md = String::from(
-            "## Simulator perf gate\n\n| key | committed | this run | delta |\n|---|---:|---:|---:|\n",
-        );
-        for (key, old, new) in &deltas {
-            md.push_str(&format!(
-                "| `{key}` | {old:.0} | {new:.0} | {:+.1}% |\n",
-                (new / old - 1.0) * 100.0
-            ));
-        }
-        if deltas.is_empty() {
-            md.push_str("| _no committed baseline found_ | | | |\n");
-        }
-        use std::io::Write as _;
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .and_then(|mut f| f.write_all(md.as_bytes()))
-            .expect("failed to append --summary file");
+        append_summary(path, &summary_markdown("Simulator perf gate", &points, &rows));
     }
 
-    let section = render_section(&points, quick_secs);
-    let old_baseline = previous.as_deref().and_then(baseline_section);
-    let baseline = carry_baseline(&points, quick_secs, old_baseline.as_deref());
-    let doc = format!("{{\n  \"benches\": {section},\n  \"baseline\": {baseline}\n}}\n");
-    std::fs::write(&out, doc).expect("failed to write BENCH_sim.json");
+    let mut fresh = points;
+    let unmeasured: &[(&str, usize)] = match quick_secs {
+        Some(q) => {
+            fresh.push(Point::new(QUICK_KEY, q).with_decimals(2));
+            &[]
+        }
+        None => &[(QUICK_KEY, 2)],
+    };
+    std::fs::write(&out, render_doc(&fresh, unmeasured, previous.as_deref()))
+        .expect("failed to write BENCH_sim.json");
     eprintln!("wrote {out}");
 
     if let Some(limit) = gate_drop_pct {
         let failures: Vec<&(String, f64, f64)> =
-            deltas.iter().filter(|(_, old, new)| (1.0 - new / old) * 100.0 > limit).collect();
+            rows.iter().filter(|(_, old, new)| (1.0 - new / old) * 100.0 > limit).collect();
         for (key, old, new) in &failures {
             eprintln!(
                 "PERF GATE FAIL {key}: {new:.0} ops/s is {:.1}% below committed {old:.0}",
@@ -320,6 +212,6 @@ fn main() {
         if !failures.is_empty() {
             std::process::exit(1);
         }
-        eprintln!("perf gate: all {} engine keys within {limit}% of committed", deltas.len());
+        eprintln!("perf gate: all {} engine keys within {limit}% of committed", rows.len());
     }
 }

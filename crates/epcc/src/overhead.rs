@@ -14,10 +14,11 @@
 //!
 //! Simulator rep loops ([`repeat_sim`] / [`repeat_sim_of`]) are hot: a
 //! 1000-rep curve point used to spawn 1000×P OS threads. Each rep now
-//! runs on its sweep worker's ambient `armbar_simcoh::SimTeam`, which
+//! runs as fibers on its sweep worker's thread, or, on the OS-thread
+//! transport, on the worker's ambient `armbar_simcoh::SimTeam`, which
 //! spawns the P simulated-thread workers once and reuses them across
-//! episodes (no call-site changes here — `SimBuilder::run` routes through
-//! the team; `ARMBAR_SIM_TEAM=0` restores spawn-per-episode).
+//! episodes (no call-site changes here — `SimBuilder::run` picks the
+//! transport).
 
 use std::sync::Arc;
 

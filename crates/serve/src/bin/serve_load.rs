@@ -18,8 +18,10 @@
 //! `baseline` section carried forward. The per-shard balance is reported
 //! as `max/min × 100` so it fits the integral-value JSON convention.
 
-use armbar_serve::report::{deltas, render_doc, summary_markdown, Point};
 use armbar_serve::{run_load, LoadConfig, LoadReport};
+use armbar_sweep::bench_json::{
+    append_summary, deltas, print_deltas, render_doc, summary_markdown, Point,
+};
 
 /// Timed attempts; best throughput wins (outcomes are identical across
 /// attempts by the determinism contract, so any attempt's report serves).
@@ -76,23 +78,11 @@ fn main() {
 
     let previous = std::fs::read_to_string(&out).ok();
     let rows = previous.as_deref().map(|p| deltas(&points, p)).unwrap_or_default();
-    if !rows.is_empty() {
-        eprintln!("-- delta vs committed {out} --");
-        for (key, old, new) in &rows {
-            eprintln!("{key:>28}: {:+.1}% ({old:.0} -> {new:.0})", (new / old - 1.0) * 100.0);
-        }
-    }
+    print_deltas(&out, &rows);
     if let Some(path) = &summary_path {
-        let md = summary_markdown("Serve load bench (non-gating)", &points, &rows);
-        use std::io::Write as _;
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .and_then(|mut f| f.write_all(md.as_bytes()))
-            .expect("failed to append --summary file");
+        append_summary(path, &summary_markdown("Serve load bench (non-gating)", &points, &rows));
     }
-    std::fs::write(&out, render_doc(&points, previous.as_deref()))
+    std::fs::write(&out, render_doc(&points, &[], previous.as_deref()))
         .expect("failed to write bench JSON");
     eprintln!("wrote {out}");
 }

@@ -21,12 +21,11 @@
 //!   nobody is parked and coalescing co-shard releases into one notify.
 //!
 //! [`load`] is the seeded Zipf load driver behind `BENCH_serve.json` and
-//! the `armbar serve` CLI subcommand; [`report`] renders the bench JSON
-//! with the workspace's baseline-carry-forward convention.
+//! the `armbar serve` CLI subcommand; `armbar_sweep::bench_json` renders
+//! the bench JSON.
 
 pub mod load;
 pub mod registry;
-pub mod report;
 pub mod team;
 
 pub use load::{outcome_csv, outcome_json, run_load, summary_text, LoadConfig, LoadReport};

@@ -10,14 +10,11 @@
 //! run is a pure function of `(topology, seed, program)` — identical bytes
 //! under both transports.
 //!
-//! ## Sharded scheduler
+//! ## One scheduler heap
 //!
-//! The ready/running tables are sharded by the topology's
-//! `shard_cores` boundary (one shard per cluster/group on the hierarchical
-//! presets). A pass drains the active shard until the global rendezvous
-//! invariant — "process the minimal ready key iff it is ≤ every running
-//! key" — would be violated, then re-merges the S shard heads. Identical
-//! processing order to a single global heap at any shard count; see
+//! Posted operations wait in one ready heap and threads executing user code
+//! sit in one running set, both keyed by `(virtual time, tid)`. A pass
+//! processes the minimal ready key iff it is ≤ every running key; see
 //! `DESIGN.md` §13.
 //!
 //! ## Cooperative scheduling
@@ -76,23 +73,10 @@ pub(crate) struct AbortSignal;
 /// paper's Figures 5–6) show near-linear growth from 32 to 64 threads.
 const INV_FANOUT_CAP: usize = 16;
 
-/// Iterations a worker spins on its reply cell before parking. Only used on
-/// multi-core hosts, where the engine can publish the reply concurrently; on
-/// a single-core host nothing can progress while we spin, so workers park
-/// immediately (see [`spin_replies`]).
-const REPLY_SPIN_LIMIT: u32 = 64;
-
 /// Deferred-compute accumulator cap: after this many lazily-buffered
 /// `compute_ns` calls the thread posts a heartbeat op, so a compute-only
 /// infinite loop still trips the operation budget instead of hanging.
 const DEFERRED_COMPUTE_FLUSH: u64 = 1024;
-
-/// Whether spinning on the reply cell can ever help: only when another core
-/// could be running the engine concurrently.
-fn spin_replies() -> bool {
-    static SPIN: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *SPIN.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()) > 1)
-}
 
 type Pred = Box<dyn Fn(u32) -> bool + Send>;
 
@@ -247,44 +231,15 @@ impl Ord for TimeKey {
 /// never ambiguous.
 type SchedKey = (TimeKey, usize);
 
-/// One scheduler shard: the ready heap and running set of the threads whose
-/// cores fall in one [`Topology::shard_cores`]-sized slice of the machine.
-#[derive(Default)]
-struct Shard {
-    /// Posted-but-unprocessed operations of this shard's threads.
-    ready: BinaryHeap<Reverse<SchedKey>>,
-    /// This shard's threads executing user code.
-    running: BTreeSet<SchedKey>,
-}
-
-/// The cluster-sharded scheduler (DESIGN.md §13). Threads are partitioned
-/// by core into shards; each shard keeps its own flat ready heap and
-/// running set, and the engine processes a shard's intra-cluster traffic
-/// without touching the other shards' structures until a *cross-shard
-/// rendezvous* is required — when the active shard's head key crosses the
-/// floor imposed by the other shards.
-///
-/// Sharding never changes which operation is processed next: `pop_next`
-/// implements exactly the global rule "process the minimal ready key iff it
-/// is ≤ every running key", so results are byte-identical at any shard
-/// size. A machine with one shard degenerates to the classic single-heap
-/// scheduler.
+/// The ready/running scheduler: one ready heap of posted-but-unprocessed
+/// operations and one running set of threads executing user code.
+/// `pop_next` implements the rule "process the minimal ready key iff it is
+/// ≤ every running key".
 struct Sched {
-    shards: Vec<Shard>,
-    /// tid → shard index (threads pin to cores 1:1).
-    shard_of: Vec<u32>,
-    /// Shard currently being drained by an engine pass, if any.
-    active: Option<usize>,
-    /// Frozen at rendezvous time: the minimal ready head among *non-active*
-    /// shards. Exact for the duration of an active stretch because every
-    /// push into another shard — a stall cohort's new head may belong to
-    /// any shard — goes through `push_ready`, which ends the stretch.
-    ready_floor: Option<SchedKey>,
-    /// Minimal running key among *non-active* shards; maintained
-    /// incrementally as replies promote threads of other shards back into
-    /// their running sets (keys only ever at or above the op being
-    /// processed, so a min update is exact).
-    run_floor: Option<SchedKey>,
+    /// Posted-but-unprocessed operations (heap mode).
+    ready: BinaryHeap<Reverse<SchedKey>>,
+    /// Threads executing user code.
+    running: BTreeSet<SchedKey>,
     /// tid → key of the thread's heap entry, if it has one. A thread has at
     /// most one, consumed by its pop; a stall-cohort member has one iff it
     /// was its cohort's lowest tid at some point (`drain_cohort` then finds
@@ -293,45 +248,18 @@ struct Sched {
 }
 
 impl Sched {
-    fn new(nthreads: usize, shard_map: Vec<u32>) -> Self {
-        debug_assert_eq!(shard_map.len(), nthreads);
-        let nshards = shard_map.iter().copied().max().map_or(1, |m| m as usize + 1);
-        let mut shards: Vec<Shard> = (0..nshards).map(|_| Shard::default()).collect();
-        for t in 0..nthreads {
-            shards[shard_map[t] as usize].running.insert((TimeKey(0.0), t));
-        }
+    fn new(nthreads: usize) -> Self {
         Self {
-            shards,
-            shard_of: shard_map,
-            active: None,
-            ready_floor: None,
-            run_floor: None,
+            ready: BinaryHeap::new(),
+            running: (0..nthreads).map(|t| (TimeKey(0.0), t)).collect(),
             queued: vec![None; nthreads],
         }
     }
 
-    #[inline]
-    fn shard(&self, tid: usize) -> usize {
-        self.shard_of[tid] as usize
-    }
-
-    /// Invalidates the active-shard cache; called at engine-pass entry and
-    /// by any mutation the incremental floors do not cover.
-    #[inline]
-    fn begin_pass(&mut self) {
-        self.active = None;
-    }
-
     fn push_ready(&mut self, key: SchedKey) {
-        let s = self.shard(key.1);
-        if self.active.is_some_and(|a| a != s) {
-            // A push into another shard can lower its head below the
-            // frozen `ready_floor`: force a fresh rendezvous.
-            self.active = None;
-        }
         debug_assert!(self.queued[key.1].is_none(), "thread queued twice");
         self.queued[key.1] = Some(key);
-        self.shards[s].ready.push(Reverse(key));
+        self.ready.push(Reverse(key));
     }
 
     /// Whether `key` is the heap entry of its thread.
@@ -339,133 +267,32 @@ impl Sched {
         self.queued[key.1] == Some(key)
     }
 
-    /// The smallest ready head and running key over all shards: an op that
-    /// sits in no heap is what `pop_next` would process now iff its key is
-    /// below this bound.
+    /// The smallest ready head and running key: an op that sits in no heap
+    /// is what `pop_next` would process now iff its key is below this bound.
     fn bound(&self) -> Option<SchedKey> {
-        let own = |sh: &Shard| {
-            let r = sh.ready.peek().map(|&Reverse(k)| k);
-            let k = sh.running.first().copied();
-            r.into_iter().chain(k).min()
-        };
-        match self.active {
-            // Within an active stretch the floors stand in for the other
-            // shards (exact, see `ready_floor`).
-            Some(s) => {
-                self.ready_floor.into_iter().chain(self.run_floor).chain(own(&self.shards[s])).min()
-            }
-            None => self.shards.iter().filter_map(own).min(),
+        let r = self.ready.peek().map(|&Reverse(k)| k);
+        r.into_iter().chain(self.running.first().copied()).min()
+    }
+
+    /// Pops the next processable operation: the minimal ready key, iff it is
+    /// ≤ every running key. Returns `None` when the pass must end (no ready
+    /// op, or the head is gated by a running thread that will post an
+    /// earlier key).
+    fn pop_next(&mut self) -> Option<SchedKey> {
+        let &Reverse(head) = self.ready.peek()?;
+        if self.running.first().is_some_and(|&r| r < head) {
+            return None;
         }
-    }
-
-    fn insert_running(&mut self, key: SchedKey) {
-        let s = self.shard(key.1);
-        self.shards[s].running.insert(key);
-        if self.active.is_some_and(|a| a != s) && self.run_floor.is_none_or(|f| key < f) {
-            self.run_floor = Some(key);
-        }
-    }
-
-    fn remove_running(&mut self, key: &SchedKey) -> bool {
-        let s = self.shard(key.1);
-        let removed = self.shards[s].running.remove(key);
-        // Removals happen only between passes (a thread posting or
-        // finishing); the next pass rescans, but drop the cache anyway.
-        self.active = None;
-        removed
-    }
-
-    fn running_first(&self) -> Option<SchedKey> {
-        self.shards.iter().filter_map(|s| s.running.first().copied()).min()
-    }
-
-    fn running_is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.running.is_empty())
-    }
-
-    fn ready_is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.ready.is_empty())
+        self.ready.pop();
+        debug_assert!(self.is_queued(head), "heap entry without a queued thread");
+        self.queued[head.1] = None;
+        Some(head)
     }
 
     fn clear(&mut self) {
-        for s in &mut self.shards {
-            s.ready.clear();
-            s.running.clear();
-        }
+        self.ready.clear();
+        self.running.clear();
         self.queued.fill(None);
-        self.active = None;
-    }
-
-    /// Cross-shard rendezvous: pick the shard owning the globally minimal
-    /// ready key and freeze the floors the other shards impose on it.
-    fn rendezvous(&mut self) -> Option<usize> {
-        let mut best: Option<(SchedKey, usize)> = None;
-        for (i, sh) in self.shards.iter().enumerate() {
-            if let Some(&Reverse(k)) = sh.ready.peek() {
-                if best.is_none_or(|(bk, _)| k < bk) {
-                    best = Some((k, i));
-                }
-            }
-        }
-        let (_, s) = best?;
-        let mut ready_floor: Option<SchedKey> = None;
-        let mut run_floor: Option<SchedKey> = None;
-        for (i, sh) in self.shards.iter().enumerate() {
-            if i == s {
-                continue;
-            }
-            if let Some(&Reverse(k)) = sh.ready.peek() {
-                if ready_floor.is_none_or(|f| k < f) {
-                    ready_floor = Some(k);
-                }
-            }
-            if let Some(&k) = sh.running.first() {
-                if run_floor.is_none_or(|f| k < f) {
-                    run_floor = Some(k);
-                }
-            }
-        }
-        self.active = Some(s);
-        self.ready_floor = ready_floor;
-        self.run_floor = run_floor;
-        Some(s)
-    }
-
-    /// Pops the next processable operation under the exact global rule:
-    /// the minimal ready key, iff it is ≤ every running key. Returns `None`
-    /// when the pass must end (no ready op, or the head is gated by a
-    /// running thread that will post an earlier key).
-    fn pop_next(&mut self) -> Option<SchedKey> {
-        loop {
-            let s = match self.active {
-                Some(s) => s,
-                None => self.rendezvous()?,
-            };
-            let Some(&Reverse(head)) = self.shards[s].ready.peek() else {
-                // Active shard drained; rendezvous with the rest.
-                self.active = None;
-                continue;
-            };
-            if self.ready_floor.is_some_and(|f| f < head) {
-                // Another shard now owns the global minimum.
-                self.active = None;
-                continue;
-            }
-            // After the checks above `head` is the global ready minimum;
-            // it is processable iff no running thread anywhere is below it.
-            let own_run = self.shards[s].running.first().copied();
-            let gate = match (self.run_floor, own_run) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            if gate.is_some_and(|g| g < head) {
-                return None;
-            }
-            self.shards[s].ready.pop();
-            debug_assert!(self.is_queued(head), "heap entry without a queued thread");
-            self.queued[head.1] = None;
-            return Some(head);
-        }
     }
 }
 
@@ -696,7 +523,7 @@ impl WaiterTable {
 ///
 /// A single-line op that finds its line busy is re-stamped to the line's
 /// `available_at` and joins the cohort of ops waiting for that instant.
-/// Only the cohort's lowest tid has an entry in a shard heap; the rest run
+/// Only the cohort's lowest tid has an entry in the ready heap; the rest run
 /// inline after it while each is still the key the scheduler would pick.
 /// A line has at most two cohorts: one draining at `A` and one filling at
 /// the `A2 > A` the draining one's writes moved the line to. Nothing joins
@@ -832,7 +659,7 @@ impl Waiter {
 /// operation and run the engine to quiescence.
 struct State {
     slots: Vec<Slot>,
-    /// The sharded ready/running scheduler. Used for ready ordering only in
+    /// The ready/running scheduler. Used for ready ordering only in
     /// default (heap-order) mode; the running sets are live in both modes.
     sched: Sched,
     /// Posted-but-unprocessed operations in policy mode, unordered — the
@@ -949,7 +776,6 @@ impl WeakMem {
 impl State {
     fn new(
         nthreads: usize,
-        shard_map: Vec<u32>,
         seed: u64,
         op_budget: u64,
         reserve_bytes: usize,
@@ -959,7 +785,7 @@ impl State {
         let policy_mode = policy.is_some();
         Self {
             slots: (0..nthreads).map(|_| Slot { pending: None, finished: false }).collect(),
-            sched: Sched::new(nthreads, shard_map),
+            sched: Sched::new(nthreads),
             ready_list: if policy_mode { Vec::with_capacity(nthreads) } else { Vec::new() },
             policy,
             policy_mode,
@@ -1085,7 +911,7 @@ impl SimThread {
         }
         debug_assert!(g.slots[self.tid].pending.is_none(), "op already pending");
         let old_key = (TimeKey(g.time[self.tid]), self.tid);
-        let was_running = g.sched.remove_running(&old_key);
+        let was_running = g.sched.running.remove(&old_key);
         debug_assert!(was_running, "posting thread must be in the running set");
         let (def_ns, def_count) = self.deferred.replace((0.0, 0));
         if def_count > 0 {
@@ -1124,13 +950,7 @@ impl SimThread {
                 let wakes = std::mem::take(&mut g.wake_list);
                 drop(g);
                 self.shared.unpark(&wakes, self.tid);
-                let mut spins = 0u32;
                 while cell.seq.load(Ordering::Acquire) == my_seq {
-                    if spin_replies() && spins < REPLY_SPIN_LIMIT {
-                        spins += 1;
-                        std::hint::spin_loop();
-                        continue;
-                    }
                     std::thread::park();
                 }
             }
@@ -1388,11 +1208,9 @@ impl SimBuilder {
         let line_bytes = self.topo.cacheline_bytes();
         debug_assert!(line_bytes.is_power_of_two(), "topology validates the line size");
         let line_shift = line_bytes.trailing_zeros();
-        let shard_map = (0..self.nthreads).map(|t| self.topo.shard_of(t) as u32).collect();
         Shared {
             mx: Mutex::new(State::new(
                 self.nthreads,
-                shard_map,
                 self.seed,
                 self.op_budget,
                 self.reserve_bytes,
@@ -1410,9 +1228,9 @@ impl SimBuilder {
     /// Runs `body` on every simulated thread to completion and returns the
     /// run statistics, or an error on deadlock / live-lock / panic.
     ///
-    /// Episodes execute on a per-host-thread ambient [`crate::SimTeam`]
-    /// whose workers are reused across calls; set `ARMBAR_SIM_TEAM=0` to
-    /// spawn fresh workers per run instead (results are identical).
+    /// Episodes run as fibers on the calling thread, or on the OS-thread
+    /// transport on a per-host-thread ambient [`crate::SimTeam`] whose
+    /// workers are reused across calls (results are identical).
     pub fn run(
         self,
         body: impl Fn(&SimThread) + Send + Sync + 'static,
@@ -1462,7 +1280,7 @@ impl Shared {
     ) -> (R, bool) {
         let mut g = self.mx.lock();
         let key = (TimeKey(g.time[tid]), tid);
-        g.sched.remove_running(&key); // may already be gone after an abort
+        g.sched.running.remove(&key); // may already be gone after an abort
         let (def_ns, def_count) = deferred;
         if def_count > 0 && !g.aborted {
             // Trailing computes never followed by a real op: fold them
@@ -1540,9 +1358,8 @@ impl Shared {
         if g.policy_mode && !self.run_engine_policy(g) {
             return;
         }
-        g.sched.begin_pass();
         while g.outcome.is_none() && g.panics.is_empty() {
-            // `pop_next` yields the globally minimal ready key unless it is
+            // `pop_next` yields the minimal ready key unless it is
             // gated by a running thread that will post an earlier one.
             let Some((TimeKey(at), tid)) = g.sched.pop_next() else { break };
             let cohort = g.cohorts.leave(tid);
@@ -1584,8 +1401,8 @@ impl Shared {
 
     /// Runs the members of `line`'s stall cohort at `at` that follow the
     /// just-dispatched one, inline, for as long as each is exactly the key
-    /// `pop_next` would return: below every shard's ready head and every
-    /// running key. The first member that is not becomes the cohort's
+    /// `pop_next` would return: below the ready head and every running
+    /// key. The first member that is not becomes the cohort's
     /// queued head. Returns `false` when the episode was aborted.
     ///
     /// A member whose line is still busy only re-stamps: it gets the
@@ -1678,7 +1495,7 @@ impl Shared {
             while g.outcome.is_none()
                 && g.panics.is_empty()
                 && !g.ready_list.is_empty()
-                && g.sched.running_is_empty()
+                && g.sched.running.is_empty()
             {
                 if policy.settled() && g.weak.as_ref().is_none_or(WeakMem::drained) {
                     for key in std::mem::take(&mut g.ready_list) {
@@ -1701,7 +1518,7 @@ impl Shared {
                         ReadyOp { tid, time_ns: t, kind, addr }
                     })
                     .collect();
-                let min_running = g.sched.running_first().map(|(TimeKey(t), tid)| (t, tid));
+                let min_running = g.sched.running.first().map(|&(TimeKey(t), tid)| (t, tid));
                 let pick = match policy.pick(&ready, min_running) {
                     ScheduleDecision::Run(i) if i < ready.len() => i,
                     ScheduleDecision::Delay { index, ns }
@@ -1745,7 +1562,7 @@ impl Shared {
             if g.outcome.is_none()
                 && g.panics.is_empty()
                 && g.ready_list.is_empty()
-                && g.sched.running_is_empty()
+                && g.sched.running.is_empty()
                 && g.finished < g.slots.len()
                 && self.weak_drain_one(g)
             {
@@ -1788,7 +1605,7 @@ impl Shared {
             self.abort(g);
         } else if g.finished == g.slots.len() {
             g.outcome = Some(Ok(()));
-        } else if g.sched.ready_is_empty() && g.ready_list.is_empty() && g.sched.running_is_empty()
+        } else if g.sched.ready.is_empty() && g.ready_list.is_empty() && g.sched.running.is_empty()
         {
             // Everyone alive is parked in a spin-wait: deadlock. (This also
             // catches stragglers still spinning after every peer finished.)
@@ -1875,7 +1692,7 @@ impl Shared {
     /// Replies to a processed operation: the thread resumes user code, so it
     /// re-enters the running set at its (new) virtual time.
     fn reply(&self, g: &mut State, tid: usize, r: Reply) {
-        g.sched.insert_running((TimeKey(g.time[tid]), tid));
+        g.sched.running.insert((TimeKey(g.time[tid]), tid));
         self.deliver(g, tid, r);
     }
 
@@ -3075,47 +2892,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(stats.coherence().total().total_mem_ops(), 2);
-    }
-
-    #[test]
-    fn shard_count_never_changes_results() {
-        // The same machine at 1, 2, 4, and 8 scheduler shards must produce
-        // bit-identical runs: sharding is a scheduling partition, not a
-        // model change.
-        let run = |shard_cores: usize| {
-            let t = Arc::new(
-                TopologyBuilder::new("shardtest", 16)
-                    .epsilon_ns(1.0)
-                    .layer("near", 10.0, 0.5)
-                    .layer("far", 40.0, 0.5)
-                    .hierarchy(&[4])
-                    .shard_cores(shard_cores)
-                    .coherence(2.0, 3.0, 0.2)
-                    .build(),
-            );
-            let mut arena = Arena::new();
-            let a = arena.alloc_padded_u32(64);
-            let gflag = arena.alloc_padded_u32(64);
-            let stats = SimBuilder::new(t, 16)
-                .seed(42)
-                .run(move |ctx| {
-                    for round in 1..=3u32 {
-                        let prev = ctx.fetch_add(a, 1);
-                        if prev == 16 * round - 1 {
-                            ctx.store(gflag, round);
-                        } else {
-                            ctx.spin_until_ge(gflag, round);
-                        }
-                        ctx.compute_ns(5.0 * ctx.tid() as f64);
-                    }
-                })
-                .unwrap();
-            (stats.per_thread_time_ns().to_vec(), stats.schedule_hash())
-        };
-        let baseline = run(16);
-        for shards in [8, 4, 2] {
-            assert_eq!(run(shards), baseline, "shard_cores={shards} diverged");
-        }
     }
 
     #[test]

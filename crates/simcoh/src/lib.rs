@@ -42,10 +42,6 @@
 //! in explicit [`SimTeam`] runs) they are OS threads pooled in
 //! episode-reusable teams. Results are byte-identical across transports.
 //!
-//! At P≥256 the engine's scheduler is additionally *sharded* per machine
-//! cluster (see `DESIGN.md` §13) — a pure scheduling-data-structure
-//! partition that never changes the processing order.
-//!
 //! ```
 //! use std::sync::Arc;
 //! use armbar_topology::{Platform, Topology};

@@ -155,7 +155,7 @@ impl CoherenceCounters {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Operations the scheduler handed to the cost model, whether taken
-    /// from a shard heap, run inline from a stall cohort, or picked by a
+    /// from the ready heap, run inline from a stall cohort, or picked by a
     /// schedule policy.
     pub pops: u64,
     /// Pops that found their line busy and had the thread's clock moved to

@@ -14,11 +14,11 @@
 //! tears down via the engine's abort protocol — the worker catches the
 //! internal unwind and survives to serve the next episode.
 //!
-//! [`SimBuilder::run`] routes through a per-host-thread *ambient* team
-//! automatically, so `epcc`, the experiments runner, the fault harness and
-//! the tracing CLI all reuse workers without any call-site changes. Set
-//! `ARMBAR_SIM_TEAM=0` to disable reuse (fresh workers per run; results are
-//! byte-identical either way).
+//! On the OS-thread transport (`ARMBAR_SIM_FIBERS=0`, and every host
+//! without fibers) [`SimBuilder::run`] routes through a per-host-thread
+//! *ambient* team automatically, so `epcc`, the experiments runner, the
+//! fault harness and the tracing CLI all reuse workers without any
+//! call-site changes. A blocked worker parks on its reply cell at once.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -232,15 +232,6 @@ thread_local! {
     static AMBIENT_TEAM: RefCell<Option<SimTeam>> = const { RefCell::new(None) };
 }
 
-/// `ARMBAR_SIM_TEAM=0` (or `off`) disables ambient worker reuse. Read once:
-/// flipping it mid-process would silently mix execution modes.
-fn team_reuse_disabled() -> bool {
-    static DISABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DISABLED.get_or_init(|| {
-        std::env::var("ARMBAR_SIM_TEAM").is_ok_and(|v| v == "0" || v.eq_ignore_ascii_case("off"))
-    })
-}
-
 /// Entry point for [`SimBuilder::run`]: reuses (or creates) the calling
 /// thread's ambient team. The team is taken out of the slot for the duration
 /// of the run, so a simulated body that itself launches simulations (from
@@ -254,10 +245,6 @@ pub(crate) fn run_with_ambient_team(
     // explicit `SimTeam::run` calls always use OS threads.
     if crate::fiber::fibers_enabled() {
         return crate::fiber::run_on_fibers(builder, body);
-    }
-    if team_reuse_disabled() {
-        let mut team = SimTeam::new(builder.nthreads);
-        return team.run_arc(builder, body);
     }
     let mut team = AMBIENT_TEAM
         .with(|cell| {

@@ -20,6 +20,10 @@
 //! worker executes its jobs inline on that worker, so layered sweeps
 //! (curve → repetitions) parallelize at the outermost level only instead
 //! of multiplying worker counts.
+//!
+//! [`bench_json`] is the workspace's one bench-JSON writer.
+
+pub mod bench_json;
 
 use std::cell::Cell;
 use std::collections::VecDeque;

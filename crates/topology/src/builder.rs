@@ -40,7 +40,6 @@ pub struct TopologyBuilder {
     epsilon_ns: f64,
     layers: Vec<Layer>,
     n_c: Option<usize>,
-    shard_cores: Option<usize>,
     pair_layer: Option<Vec<LayerId>>,
     coherence: CoherenceParams,
     rmw_costs: RmwCosts,
@@ -60,7 +59,6 @@ impl TopologyBuilder {
             epsilon_ns: 1.0,
             layers: Vec::new(),
             n_c: None,
-            shard_cores: None,
             pair_layer: None,
             coherence: CoherenceParams::new(0.0, 0.0, 0.0),
             rmw_costs: RmwCosts::legacy(),
@@ -94,15 +92,6 @@ impl TopologyBuilder {
     pub fn n_c(mut self, n_c: usize) -> Self {
         assert!(n_c >= 1);
         self.n_c = Some(n_c);
-        self
-    }
-
-    /// Sets the scheduler shard size (cores per shard; see
-    /// [`Topology::shard_cores`]). Defaults to the whole machine — a single
-    /// shard, i.e. the classic global scheduler.
-    pub fn shard_cores(mut self, cores: usize) -> Self {
-        assert!(cores >= 1);
-        self.shard_cores = Some(cores);
         self
     }
 
@@ -203,7 +192,6 @@ impl TopologyBuilder {
             latency_matrix: Vec::new(),
             rfo_matrix: Vec::new(),
             n_c: self.n_c.unwrap_or(self.num_cores),
-            shard_cores: self.shard_cores.unwrap_or(self.num_cores),
             coherence: self.coherence,
             rmw_costs: self.rmw_costs,
         };
@@ -256,22 +244,6 @@ mod tests {
             .hierarchy(&[4])
             .build();
         assert_eq!(t.n_c(), 2);
-    }
-
-    #[test]
-    fn shard_cores_defaults_to_single_shard() {
-        let t = toy();
-        assert_eq!(t.shard_cores(), 8);
-        assert_eq!(t.num_shards(), 1);
-        let sharded = TopologyBuilder::new("toy", 8)
-            .layer("near", 10.0, 0.4)
-            .layer("far", 40.0, 0.8)
-            .hierarchy(&[4])
-            .shard_cores(4)
-            .build();
-        assert_eq!(sharded.num_shards(), 2);
-        assert_eq!(sharded.shard_of(3), 0);
-        assert_eq!(sharded.shard_of(4), 1);
     }
 
     #[test]

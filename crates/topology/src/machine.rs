@@ -96,10 +96,6 @@ pub struct Topology {
     pub(crate) rfo_matrix: Vec<f64>,
     /// Logical core-cluster size `N_c` (Section III-A).
     pub(crate) n_c: usize,
-    /// Cores per scheduler shard: the granularity at which the simulator
-    /// partitions its ready/running tables. Equal to `num_cores` (one
-    /// shard) unless the preset opts in to sharding.
-    pub(crate) shard_cores: usize,
     pub(crate) coherence: CoherenceParams,
     /// Per-op-kind atomic RMW surcharge parameters (DESIGN.md §17).
     /// [`RmwCosts::legacy`] unless the preset/builder differentiates.
@@ -164,7 +160,7 @@ impl Topology {
     }
 
     /// Returns a copy of this machine with a different RMW cost table —
-    /// everything else (latencies, coherence, sharding) unchanged. Used by
+    /// everything else (latencies, coherence) unchanged. Used by
     /// the identity tests to run an ARM preset under the legacy shared
     /// surcharge, and by experiments that sweep cost shapes.
     pub fn with_rmw_costs(mut self, costs: RmwCosts) -> Self {
@@ -260,30 +256,6 @@ impl Topology {
         self.cluster_of(a) == self.cluster_of(b)
     }
 
-    /// Cores per scheduler shard. The simulator keeps one ready heap and
-    /// one running set per shard (DESIGN.md §13); a machine with
-    /// `shard_cores == num_cores` runs the classic single-shard scheduler.
-    /// Sharding is a *scheduling* partition only — it never changes which
-    /// op the engine processes next, so results are byte-identical at any
-    /// shard size.
-    #[inline]
-    pub fn shard_cores(&self) -> usize {
-        self.shard_cores
-    }
-
-    /// Scheduler shard index of a core (cores `[k·S, (k+1)·S)` form
-    /// shard `k` where `S = shard_cores`).
-    #[inline]
-    pub fn shard_of(&self, core: CoreId) -> usize {
-        core / self.shard_cores
-    }
-
-    /// Number of scheduler shards.
-    #[inline]
-    pub fn num_shards(&self) -> usize {
-        self.num_cores.div_ceil(self.shard_cores)
-    }
-
     /// The largest (outermost) layer latency of the machine, in ns.
     pub fn max_latency_ns(&self) -> f64 {
         self.layers.iter().map(|l| l.latency_ns).fold(self.epsilon_ns, f64::max)
@@ -335,11 +307,6 @@ impl Topology {
     pub(crate) fn validate(&self) {
         assert_eq!(self.pair_layer.len(), self.num_cores * self.num_cores);
         assert!(self.n_c >= 1 && self.n_c <= self.num_cores);
-        assert!(
-            self.shard_cores >= 1 && self.shard_cores <= self.num_cores,
-            "shard_cores out of range: {}",
-            self.shard_cores
-        );
         for a in 0..self.num_cores {
             for b in 0..self.num_cores {
                 let l = self.pair_layer[a * self.num_cores + b];
@@ -409,34 +376,6 @@ mod tests {
             }
             assert!(seen.iter().all(|&n| n == t.n_c()), "{p:?}: {seen:?}");
         }
-    }
-
-    #[test]
-    fn shards_partition_cores_on_every_preset() {
-        for p in Platform::EVERY {
-            let t = Topology::preset(p);
-            assert!(t.shard_cores() >= 1 && t.shard_cores() <= t.num_cores());
-            let mut seen = vec![0usize; t.num_shards()];
-            for c in 0..t.num_cores() {
-                seen[t.shard_of(c)] += 1;
-            }
-            assert_eq!(seen.iter().sum::<usize>(), t.num_cores(), "{p:?}");
-            // Shards never split a logical cluster: the scheduler partition
-            // is at least as coarse as N_c.
-            if t.shard_cores() < t.num_cores() {
-                assert_eq!(t.shard_cores() % t.n_c(), 0, "{p:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn paper_platforms_default_to_documented_shards() {
-        // Phytium and Xeon run the classic single-shard scheduler;
-        // ThunderX2 shards by socket, Kunpeng 920 by SCCL.
-        assert_eq!(Topology::preset(Platform::Phytium2000Plus).num_shards(), 1);
-        assert_eq!(Topology::preset(Platform::XeonGold).num_shards(), 1);
-        assert_eq!(Topology::preset(Platform::ThunderX2).num_shards(), 2);
-        assert_eq!(Topology::preset(Platform::Kunpeng920).num_shards(), 2);
     }
 
     #[test]

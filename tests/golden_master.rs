@@ -76,16 +76,15 @@ fn model_output_matches_committed_fixture_byte_for_byte() {
     check_fixture(Platform::Phytium2000Plus, "golden_algo_curve_phytium_quick.csv");
 }
 
-/// Kunpeng 920 runs the *sharded* scheduler (2 SCCL shards); this fixture
-/// was generated by the pre-shard single-heap engine, so it proves the
-/// sharded engine is byte-identical to the scheduler it replaced.
+/// Kunpeng 920 fixture generated by the single-heap engine and never
+/// regenerated: it pins the scheduler's processing order on a machine with
+/// three latency layers and 128-byte lines.
 #[test]
 fn sharded_scheduler_reproduces_pre_shard_kunpeng_fixture() {
     check_fixture(Platform::Kunpeng920, "golden_algo_curve_kunpeng_quick.csv");
 }
 
-/// Same pre-shard provenance as the Kunpeng fixture, for the two-socket
-/// ThunderX2 (2 socket shards).
+/// Same provenance as the Kunpeng fixture, for the two-socket ThunderX2.
 #[test]
 fn sharded_scheduler_reproduces_pre_shard_thunderx2_fixture() {
     check_fixture(Platform::ThunderX2, "golden_algo_curve_thunderx2_quick.csv");
