@@ -80,4 +80,6 @@ pub mod prelude {
 }
 
 #[cfg(test)]
+mod contention_pin;
+#[cfg(test)]
 mod proptests;

@@ -13,9 +13,11 @@
 //! ## One scheduler heap
 //!
 //! Posted operations wait in one ready heap and threads executing user code
-//! sit in one running set, both keyed by `(virtual time, tid)`. A pass
-//! processes the minimal ready key iff it is ≤ every running key; see
-//! `DESIGN.md` §13.
+//! sit in one running set (a min-heap indexed by tid), both keyed by
+//! `(virtual time, tid)`. A pass processes the minimal ready key iff it is
+//! ≤ every running key; see `DESIGN.md` §13. Ops that find their line busy
+//! wait in per-line stall cohorts, which re-stamp a whole run of members
+//! in one pass when the line stays busy (`DESIGN.md` §11).
 //!
 //! ## Cooperative scheduling
 //!
@@ -38,12 +40,13 @@
 //! receipt never touches the lock, and pending wakeups are deferred until
 //! the engine lock is released so a woken worker never piles onto a held
 //! mutex. State
-//! tables are dense `Vec`s indexed by arena-derived word/line slots rather
-//! than hash maps — see `DESIGN.md` §11 for the performance numbers.
+//! tables, the per-line traffic counts included, are dense `Vec`s indexed
+//! by arena-derived word/line slots rather than hash maps — see
+//! `DESIGN.md` §11 for the performance numbers.
 
 use std::cell::UnsafeCell;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -185,6 +188,12 @@ fn describe_op(op: &OpReq) -> (ReadyOpKind, Option<Addr>) {
     }
 }
 
+/// Whether a stalled op waits for its line as a write (a store or an RMW)
+/// rather than a read.
+fn is_write(op: &OpReq) -> bool {
+    matches!(op, OpReq::Store(..) | OpReq::FetchAdd(..) | OpReq::CmpXchg(..) | OpReq::Swap(..))
+}
+
 /// Small distinct tag per op class for the schedule fingerprint.
 fn op_tag(op: &OpReq) -> u64 {
     match op {
@@ -208,9 +217,17 @@ fn op_tag(op: &OpReq) -> u64 {
 }
 
 /// Total order on virtual times for the scheduler's ready/running keys.
-/// `total_cmp` matches the tie-breaking of the original `min_by` scan.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// `total_cmp` matches the tie-breaking of the original `min_by` scan;
+/// equality agrees with it (−0.0 ≠ 0.0, NaN = NaN), as the ordered sets
+/// and heaps keyed by it require.
+#[derive(Debug, Clone, Copy)]
 struct TimeKey(f64);
+
+impl PartialEq for TimeKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
 
 impl Eq for TimeKey {}
 
@@ -239,7 +256,7 @@ struct Sched {
     /// Posted-but-unprocessed operations (heap mode).
     ready: BinaryHeap<Reverse<SchedKey>>,
     /// Threads executing user code.
-    running: BTreeSet<SchedKey>,
+    running: RunningSet,
     /// tid → key of the thread's heap entry, if it has one. A thread has at
     /// most one, consumed by its pop; a stall-cohort member has one iff it
     /// was its cohort's lowest tid at some point (`drain_cohort` then finds
@@ -251,7 +268,7 @@ impl Sched {
     fn new(nthreads: usize) -> Self {
         Self {
             ready: BinaryHeap::new(),
-            running: (0..nthreads).map(|t| (TimeKey(0.0), t)).collect(),
+            running: RunningSet::new(nthreads),
             queued: vec![None; nthreads],
         }
     }
@@ -271,7 +288,7 @@ impl Sched {
     /// is what `pop_next` would process now iff its key is below this bound.
     fn bound(&self) -> Option<SchedKey> {
         let r = self.ready.peek().map(|&Reverse(k)| k);
-        r.into_iter().chain(self.running.first().copied()).min()
+        r.into_iter().chain(self.running.first()).min()
     }
 
     /// Pops the next processable operation: the minimal ready key, iff it is
@@ -280,7 +297,7 @@ impl Sched {
     /// earlier key).
     fn pop_next(&mut self) -> Option<SchedKey> {
         let &Reverse(head) = self.ready.peek()?;
-        if self.running.first().is_some_and(|&r| r < head) {
+        if self.running.first().is_some_and(|r| r < head) {
             return None;
         }
         self.ready.pop();
@@ -293,6 +310,107 @@ impl Sched {
         self.ready.clear();
         self.running.clear();
         self.queued.fill(None);
+    }
+}
+
+/// `RunningSet::pos` of a thread that is not running.
+const NOT_RUNNING: u32 = u32::MAX;
+
+/// The running set: a binary min-heap of the running threads' keys with
+/// each thread's position in it. A thread has at most one key, so `remove`
+/// finds it by tid instead of searching, and the heap never outgrows the
+/// thread count: the set empties and refills without allocating.
+struct RunningSet {
+    heap: Vec<SchedKey>,
+    /// tid → index of the thread's key in `heap`, or `NOT_RUNNING`.
+    pos: Vec<u32>,
+}
+
+impl RunningSet {
+    /// Every thread running at time 0 (keys in ascending order are a heap).
+    fn new(nthreads: usize) -> Self {
+        Self {
+            heap: (0..nthreads).map(|t| (TimeKey(0.0), t)).collect(),
+            pos: (0..nthreads as u32).collect(),
+        }
+    }
+
+    /// The smallest running key.
+    fn first(&self) -> Option<SchedKey> {
+        self.heap.first().copied()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    fn insert(&mut self, key: SchedKey) {
+        debug_assert_eq!(self.pos[key.1], NOT_RUNNING, "thread running twice");
+        self.heap.push(key);
+        self.sift_up(self.heap.len() - 1, key);
+    }
+
+    /// Removes `key`; returns whether it was in the set.
+    fn remove(&mut self, key: SchedKey) -> bool {
+        let i = self.pos[key.1] as usize;
+        if self.heap.get(i) != Some(&key) {
+            return false;
+        }
+        self.pos[key.1] = NOT_RUNNING;
+        let last = self.heap.pop().expect("the set holds `key`");
+        if i < self.heap.len() {
+            if i > 0 && last < self.heap[(i - 1) / 2] {
+                self.sift_up(i, last);
+            } else {
+                self.sift_down(i, last);
+            }
+        }
+        true
+    }
+
+    fn clear(&mut self) {
+        for &(_, tid) in &self.heap {
+            self.pos[tid] = NOT_RUNNING;
+        }
+        self.heap.clear();
+    }
+
+    /// Places `key` at hole `i` or above it, moving larger parents down.
+    fn sift_up(&mut self, mut i: usize, key: SchedKey) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[parent] <= key {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, key);
+    }
+
+    /// Places `key` at hole `i` or below it, moving smaller children up.
+    fn sift_down(&mut self, mut i: usize, key: SchedKey) {
+        let n = self.heap.len();
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && self.heap[child + 1] < self.heap[child] {
+                child += 1;
+            }
+            if key <= self.heap[child] {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, key);
+    }
+
+    fn place(&mut self, i: usize, key: SchedKey) {
+        self.heap[i] = key;
+        self.pos[key.1] = i as u32;
     }
 }
 
@@ -578,12 +696,42 @@ impl Cohorts {
         pos == 0
     }
 
-    /// The next undispatched member of `line`'s cohort at `at`.
-    fn peek_next(&self, line: u32, at: f64) -> Option<usize> {
+    /// The undispatched members of `line`'s cohort at `at`, in tid order
+    /// (empty when the line has no cohort at `at`).
+    fn undispatched(&self, line: u32, at: f64) -> &[u32] {
         self.by_line[line as usize]
             .iter()
             .find(|c| !c.members.is_empty() && c.at == at)
-            .map(|c| c.members[c.next] as usize)
+            .map_or(&[], |c| &c.members[c.next..])
+    }
+
+    /// Moves the first `k` undispatched members of `line`'s cohort at `at`,
+    /// re-stamped to `to`, into the line's cohort at `to`. Returns whether
+    /// the first of them is that cohort's new lowest tid, which then needs
+    /// a heap entry; the rest follow it in tid order and need none.
+    fn restamp(&mut self, line: u32, at: f64, k: usize, to: f64) -> bool {
+        let [a, b] = &mut self.by_line[line as usize];
+        let (from, dst) = if !a.members.is_empty() && a.at == at { (a, b) } else { (b, a) };
+        debug_assert!(from.at == at && from.next + k <= from.members.len(), "no such run");
+        if dst.members.is_empty() {
+            dst.at = to;
+            dst.next = 0;
+        }
+        assert!(dst.at == to, "a line has at most two stall cohorts");
+        debug_assert_eq!(dst.next, 0, "an op joined a draining cohort");
+        let run = &from.members[from.next..from.next + k];
+        let lowest = dst.members.first().is_none_or(|&m| run[0] < m);
+        let in_order = dst.members.last().is_none_or(|&m| m < run[0]);
+        dst.members.extend_from_slice(run);
+        if !in_order {
+            dst.members.sort_unstable();
+        }
+        from.next += k;
+        if from.next == from.members.len() {
+            from.members.clear();
+            from.next = 0;
+        }
+        lowest
     }
 
     /// Takes `tid` out of its cohort as the op about to be dispatched;
@@ -911,7 +1059,7 @@ impl SimThread {
         }
         debug_assert!(g.slots[self.tid].pending.is_none(), "op already pending");
         let old_key = (TimeKey(g.time[self.tid]), self.tid);
-        let was_running = g.sched.running.remove(&old_key);
+        let was_running = g.sched.running.remove(old_key);
         debug_assert!(was_running, "posting thread must be in the running set");
         let (def_ns, def_count) = self.deferred.replace((0.0, 0));
         if def_count > 0 {
@@ -1280,7 +1428,7 @@ impl Shared {
     ) -> (R, bool) {
         let mut g = self.mx.lock();
         let key = (TimeKey(g.time[tid]), tid);
-        g.sched.running.remove(&key); // may already be gone after an abort
+        g.sched.running.remove(key); // may already be gone after an abort
         let (def_ns, def_count) = deferred;
         if def_count > 0 && !g.aborted {
             // Trailing computes never followed by a real op: fold them
@@ -1343,6 +1491,7 @@ impl Shared {
             Err(e) => Err(e),
             Ok(()) => {
                 let mut stats = std::mem::replace(&mut g.stats, RunStats::new(0));
+                stats.fold_line_traffic();
                 for tid in 0..n {
                     stats.set_thread_time(tid, g.time[tid]);
                 }
@@ -1405,34 +1554,82 @@ impl Shared {
     /// key. The first member that is not becomes the cohort's
     /// queued head. Returns `false` when the episode was aborted.
     ///
-    /// A member whose line is still busy only re-stamps: it gets the
-    /// dispatch's tick and the stall's effects without a trip through
-    /// `step`. A re-stamp adds no running key and pushes only keys above
-    /// `at`, so the scheduler bound stays valid until a real dispatch.
+    /// Members whose line is still busy only re-stamp, a whole run at a
+    /// time (`restamp_run`). A re-stamp adds no running key and pushes only
+    /// keys above `at`, so the scheduler bound stays valid until a real
+    /// dispatch.
     fn drain_cohort(&self, g: &mut State, line: u32, at: f64) -> bool {
-        let mut bound = None;
         while g.outcome.is_none() && g.panics.is_empty() {
-            let Some(tid) = g.cohorts.peek_next(line, at) else { break };
-            let key = (TimeKey(at), tid);
-            if bound.get_or_insert_with(|| g.sched.bound()).is_some_and(|b| b <= key) {
+            let Some(&tid) = g.cohorts.undispatched(line, at).first() else { break };
+            let key = (TimeKey(at), tid as usize);
+            let bound = g.sched.bound();
+            if bound.is_some_and(|b| b <= key) {
                 if !g.sched.is_queued(key) {
                     g.sched.push_ready(key);
                 }
                 break;
             }
-            g.cohorts.leave(tid);
             let busy_until = self.available_at(g, line);
             if busy_until > at {
-                if !self.tick(g, tid) {
+                if !self.restamp_run(g, line, at, busy_until, bound) {
                     return false;
                 }
-                self.stall(g, tid, busy_until, Some(line));
             } else {
-                if !self.dispatch(g, tid) {
+                g.cohorts.leave(key.1);
+                if !self.dispatch(g, key.1) {
                     return false;
                 }
-                bound = None;
             }
+        }
+        true
+    }
+
+    /// Re-stamps in one pass every undispatched member of `line`'s cohort
+    /// at `at` whose key is below `bound`: each would be popped next, find
+    /// the line busy until `busy_until` and stall there. Nothing a re-stamp
+    /// does moves the bound, the line's availability or another member's
+    /// clock, so each member gets exactly the effects of a one-by-one
+    /// re-stamp, in tid order: its budget charge, its pop and re-stamp
+    /// counts, its fingerprint event and its stall of `busy_until − at`.
+    /// The run then joins the cohort at `busy_until` at once. When the
+    /// budget runs out inside the run, the members before the cut are
+    /// re-stamped and the cut member's charge aborts the episode; returns
+    /// `false` then.
+    fn restamp_run(
+        &self,
+        g: &mut State,
+        line: u32,
+        at: f64,
+        busy_until: f64,
+        bound: Option<SchedKey>,
+    ) -> bool {
+        let State { cohorts, slots, time, stats, ops, op_budget, sched, .. } = g;
+        let members = cohorts.undispatched(line, at);
+        let n = members.partition_point(|&m| bound.is_none_or(|b| (TimeKey(at), m as usize) < b));
+        let k = (n as u64).min(op_budget.saturating_sub(*ops)) as usize;
+        let first = members[0] as usize;
+        let stall_ns = busy_until - at;
+        for &m in &members[..k] {
+            let tid = m as usize;
+            // The batched stall equals `busy_until − time[tid]` only if
+            // every member still waits at the cohort's instant.
+            debug_assert!(time[tid] == at, "cohort member {tid} is not at its cohort's instant");
+            let op = slots[tid].pending.as_ref().expect("cohort member has a pending op");
+            stats.mix_schedule(op_tag(op), tid as u64);
+            stats.record_stall(tid, is_write(op), stall_ns);
+            time[tid] = busy_until;
+        }
+        *ops += k as u64;
+        let e = stats.engine_mut();
+        e.pops += k as u64;
+        e.restamps += k as u64;
+        if k > 0 && cohorts.restamp(line, at, k, busy_until) {
+            sched.push_ready((TimeKey(busy_until), first));
+        }
+        if k < n {
+            let exhausted = self.charge_op(g);
+            debug_assert!(exhausted, "a run stops short of the bound only at the budget");
+            return false;
         }
         true
     }
@@ -1443,10 +1640,7 @@ impl Shared {
     /// new lowest tid needs a heap entry); policy mode and all-≥ waits
     /// (several lines) re-post.
     fn stall(&self, g: &mut State, tid: usize, busy_until: f64, line: Option<u32>) {
-        let is_write = matches!(
-            g.slots[tid].pending,
-            Some(OpReq::Store(..) | OpReq::FetchAdd(..) | OpReq::CmpXchg(..) | OpReq::Swap(..))
-        );
+        let is_write = is_write(g.slots[tid].pending.as_ref().expect("a stalled op is pending"));
         g.stats.record_stall(tid, is_write, busy_until - g.time[tid]);
         g.stats.engine_mut().restamps += 1;
         g.time[tid] = busy_until;
@@ -1518,7 +1712,7 @@ impl Shared {
                         ReadyOp { tid, time_ns: t, kind, addr }
                     })
                     .collect();
-                let min_running = g.sched.running.first().map(|&(TimeKey(t), tid)| (t, tid));
+                let min_running = g.sched.running.first().map(|(TimeKey(t), tid)| (t, tid));
                 let pick = match policy.pick(&ready, min_running) {
                     ScheduleDecision::Run(i) if i < ready.len() => i,
                     ScheduleDecision::Delay { index, ns }
@@ -2307,6 +2501,57 @@ mod tests {
                 .coherence(2.0, 3.0, 0.0)
                 .build(),
         )
+    }
+
+    #[test]
+    fn running_set_matches_an_ordered_set() {
+        // Seeded random insert/remove/first/clear sequences against the
+        // `BTreeSet` the running set replaced. Times come from a small set
+        // (ties are broken by tid) and include −0.0, which `total_cmp`
+        // orders below 0.0.
+        let times = [-0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 1e9];
+        for n in [1, 2, 64, 1024] {
+            let mut rng = SplitMix64::new(n as u64);
+            let mut heap = RunningSet::new(n);
+            let mut model: std::collections::BTreeSet<SchedKey> =
+                (0..n).map(|t| (TimeKey(0.0), t)).collect();
+            let mut key_of: Vec<Option<SchedKey>> =
+                (0..n).map(|t| Some((TimeKey(0.0), t))).collect();
+            for step in 0..20 * n.max(64) {
+                let tid = rng.next_u64() as usize % n;
+                let time = TimeKey(times[rng.next_u64() as usize % times.len()]);
+                match (rng.next_u64() % 100, key_of[tid]) {
+                    (0, _) => {
+                        heap.clear();
+                        model.clear();
+                        key_of.fill(None);
+                    }
+                    (1..=49, None) => {
+                        heap.insert((time, tid));
+                        model.insert((time, tid));
+                        key_of[tid] = Some((time, tid));
+                    }
+                    (1..=49, Some(key)) => {
+                        assert!(heap.remove(key), "n={n} step {step}: {key:?} present");
+                        assert!(model.remove(&key));
+                        key_of[tid] = None;
+                    }
+                    // Removing a key the set does not hold: an absent
+                    // thread, or a running one under another time.
+                    (_, key) => {
+                        let probe = (time, tid);
+                        let held = key == Some(probe);
+                        assert_eq!(heap.remove(probe), held, "n={n} step {step}: {probe:?}");
+                        assert_eq!(model.remove(&probe), held);
+                        if held {
+                            key_of[tid] = None;
+                        }
+                    }
+                }
+                assert_eq!(heap.first(), model.first().copied(), "n={n} step {step}");
+                assert_eq!(heap.is_empty(), model.is_empty());
+            }
+        }
     }
 
     #[test]

@@ -430,6 +430,47 @@ fn mixed_waiters(a: Addr, b: Addr, d: Addr, other: Addr) -> Body {
     })
 }
 
+/// Two lines whose stall cohorts wait for the same instant: threads 4 and
+/// 5 RMW `y`, the rest RMW `x`, all from time 0 on a jitter-free machine,
+/// so both lines free up together and the cohort of `y` sits inside the
+/// tid range of the cohort of `x`. The heap entry of `y`'s cohort then
+/// cuts the re-stamp runs of `x`'s cohort at the same instant.
+fn twin_lines(x: Addr, y: Addr) -> Body {
+    Arc::new(move |ctx: &SimThread| {
+        let line = if matches!(ctx.tid(), 4 | 5) { y } else { x };
+        for _ in 0..4 {
+            ctx.fetch_add(line, 1);
+        }
+    })
+}
+
+/// Heap and policy engines stop at the same op when the budget runs out,
+/// including budgets that run out in the middle of a re-stamp run.
+#[test]
+fn budget_cut_inside_a_restamp_run_matches_policy_mode() {
+    let phytium = Arc::new(Topology::preset(Platform::Phytium2000Plus));
+    let line = phytium.cacheline_bytes();
+    let mut arena = Arena::new();
+    let base = arena.alloc(line, line);
+    let case =
+        Case { name: "SENSE P=64 Phytium", topo: phytium, p: 64, body: sense(base, base + 4, 3) };
+    let pops = case.run(false).engine().pops;
+    // The first episode's arrivals queue 63 RMWs behind one line; nearly
+    // every budget in this range runs out inside a re-stamp run of them.
+    for budget in (100..300).step_by(3) {
+        assert!(budget < pops);
+        let err = |policy: bool| {
+            let b = case.builder().op_budget(budget);
+            let b = if policy { b.schedule_policy(MinTimePolicy) } else { b };
+            let body = Arc::clone(&case.body);
+            b.run(move |ctx| body(ctx)).expect_err("the budget is below the run's op count")
+        };
+        let (heap, policy) = (err(false), err(true));
+        assert!(matches!(heap, SimError::OpBudgetExhausted { .. }), "{heap}");
+        assert_eq!(heap, policy, "budget {budget}");
+    }
+}
+
 fn jittery8() -> Arc<Topology> {
     Arc::new(
         TopologyBuilder::new("t8j", 8)
@@ -478,6 +519,15 @@ fn contended_cases() -> Vec<Case> {
         topo: phytium,
         p: 64,
         body: sense(base, base + 4, 3),
+    });
+
+    let mut arena = Arena::new();
+    let (x, y) = (arena.alloc_padded_u32(64), arena.alloc_padded_u32(64));
+    cases.push(Case {
+        name: "two lines busy until one instant",
+        topo: topo(),
+        p: 8,
+        body: twin_lines(x, y),
     });
 
     let mut arena = Arena::new();

@@ -1,4 +1,8 @@
 //! Run statistics: virtual completion times, operation counts, user marks.
+//!
+//! The engine counts per-line traffic in a dense table indexed by line key
+//! while a run is live; [`RunStats::line_traffic`] is the map that table is
+//! folded into once, when the run is collected.
 
 /// Kind of a simulated memory operation, for accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -210,6 +214,9 @@ pub struct RunStats {
     per_thread_time_ns: Vec<f64>,
     op_counts: [u64; 6],
     marks: Vec<Mark>,
+    /// Per-line traffic while the run is live, indexed by line key; folded
+    /// into `line_traffic` when the run is collected.
+    lines: Vec<LineTraffic>,
     line_traffic: std::collections::HashMap<u32, LineTraffic>,
     coherence: CoherenceStats,
     engine: EngineCounters,
@@ -222,6 +229,7 @@ impl RunStats {
             per_thread_time_ns: vec![0.0; nthreads],
             op_counts: [0; 6],
             marks: Vec::new(),
+            lines: Vec::new(),
             line_traffic: std::collections::HashMap::new(),
             coherence: CoherenceStats::new(nthreads),
             engine: EngineCounters::default(),
@@ -270,7 +278,7 @@ impl RunStats {
                 c.reader_contention_events += 1;
             }
             self.op_counts[OpKind::RemoteRead.idx()] += 1;
-            let t = self.line_traffic.entry(line).or_default();
+            let t = self.line_mut(line);
             t.remote_reads += 1;
             if contended {
                 t.contended_reads += 1;
@@ -290,10 +298,30 @@ impl RunStats {
             self.op_counts[OpKind::LocalWrite.idx()] += 1;
         }
         c.rfo_invalidations += invalidated as u64;
-        let t = self.line_traffic.entry(line).or_default();
+        let t = self.line_mut(line);
         t.writes += 1;
         t.invalidations += invalidated as u64;
         t.peak_sharers = t.peak_sharers.max(invalidated as u32);
+    }
+
+    /// The live traffic entry of `line`, growing the dense table on demand.
+    fn line_mut(&mut self, line: u32) -> &mut LineTraffic {
+        let i = line as usize;
+        if i >= self.lines.len() {
+            self.lines.resize(i + 1, LineTraffic::default());
+        }
+        &mut self.lines[i]
+    }
+
+    /// Moves the dense per-line table into the [`RunStats::line_traffic`]
+    /// map, once per run: a line gets an entry iff a write committed to it
+    /// or a remote read pulled it, the lines the map-based accounting
+    /// created entries for.
+    pub(crate) fn fold_line_traffic(&mut self) {
+        let lines = std::mem::take(&mut self.lines);
+        let touched =
+            lines.into_iter().enumerate().filter(|(_, t)| t.writes > 0 || t.remote_reads > 0);
+        self.line_traffic.extend(touched.map(|(k, t)| (k as u32, t)));
     }
 
     /// Accounts `ns` of virtual time `tid` spent waiting for a busy line
@@ -345,7 +373,8 @@ impl RunStats {
     }
 
     /// Per-line write/invalidation traffic, keyed by line index
-    /// (`addr / line_bytes`).
+    /// (`addr / line_bytes`). A line has an entry iff a write committed to
+    /// it or a remote read pulled it; local reads leave no trace here.
     pub fn line_traffic(&self) -> &std::collections::HashMap<u32, LineTraffic> {
         &self.line_traffic
     }
@@ -466,11 +495,35 @@ mod tests {
         assert_eq!(total.rfo_invalidations, 3);
 
         // Line traffic picked up the read side too.
+        s.fold_line_traffic();
         let t = s.line_traffic()[&7];
         assert_eq!(t.writes, 1);
         assert_eq!(t.invalidations, 3);
         assert_eq!(t.remote_reads, 1);
         assert_eq!(t.contended_reads, 1);
+    }
+
+    #[test]
+    fn line_traffic_keeps_the_lines_with_writes_or_remote_reads() {
+        let mut s = RunStats::new(2);
+        s.record_read(0, 3, true, false); // local reads only: no entry
+        s.record_read(1, 3, true, false);
+        s.record_read(1, 1, false, false); // a remote read
+        for (line, writes) in [(9, 2), (5, 3), (7, 2), (6, 1)] {
+            for _ in 0..writes {
+                s.record_write(0, line, true, 1);
+            }
+        }
+        s.fold_line_traffic();
+        let mut keys: Vec<u32> = s.line_traffic().keys().copied().collect();
+        keys.sort_unstable();
+        assert_eq!(keys, [1, 5, 6, 7, 9], "untouched and local-only lines have no entry");
+        assert_eq!(s.line_traffic()[&1].remote_reads, 1);
+        // Most writes first, ties by line key; the remote-read-only line last.
+        let order: Vec<(u32, u64)> =
+            s.hottest_lines(9).iter().map(|&(k, t)| (k, t.writes)).collect();
+        assert_eq!(order, [(5, 3), (7, 2), (9, 2), (6, 1), (1, 0)]);
+        assert_eq!(s.hotspot_concentration(), 3.0 / 8.0);
     }
 
     #[test]
